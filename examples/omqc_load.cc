@@ -263,7 +263,7 @@ class LoadDriver {
   }
 
   /// Every response for the same request shape must be identical — across
-  /// workers, passes and batch assignments. Returns mismatch count.
+  /// workers and passes. Returns mismatch count.
   uint64_t VerifyConsistency() {
     std::lock_guard<std::mutex> lock(bodies_mu_);
     uint64_t mismatches = 0;
@@ -497,6 +497,8 @@ int main(int argc, char** argv) {
     w.Field("num_ontologies", ontologies);
     w.Field("num_tenants", tenants);
     w.Field("seed", seed);
+    w.Field("num_cpus",
+            static_cast<uint64_t>(std::thread::hardware_concurrency()));
     w.Field("caches", "");
     w.EndObject();
     w.BeginArray("benchmarks");

@@ -5,8 +5,9 @@
 //
 // Serves the omqc wire protocol (src/server/wire.h): eval / contain /
 // classify requests with per-request deadlines and memory budgets,
-// batched admission (src/server/admission.h), per-tenant governor quotas
-// (src/server/tenant.h) and a STATS metrics endpoint.
+// per-tenant governor quotas (src/server/tenant.h) and a STATS metrics
+// endpoint. Concurrent requests needing the same compilation share it
+// through the single-flight artifact store (src/cache/artifact_store.h).
 //
 // Daemon flags:
 //   --port=N               listen port (default 0 = kernel-assigned;
@@ -14,9 +15,6 @@
 //   --address=A            bind address (default 127.0.0.1)
 //   --port-file=PATH       write the bound port to PATH (for scripts
 //                          racing daemon startup)
-//   --max-batch=N          admission: max requests per batch (default 16)
-//   --linger-ms=N          admission: how long the first request of a
-//                          batch waits for company (default 2)
 //   --tenant-memory-mb=N   per-tenant memory quota (default 0 = none)
 //   --tenant-deadline-ms=N per-tenant default request deadline
 //                          (default 0 = none)
@@ -37,7 +35,7 @@
 // --stats-json prints the final metrics document on shutdown.
 //
 // The daemon runs until a kShutdown request or SIGINT/SIGTERM, then
-// drains: queued batches execute, responses flush, sessions join.
+// drains: queued requests execute, responses flush, sessions join.
 
 #include <csignal>
 #include <cstdio>
@@ -76,8 +74,6 @@ int main(int argc, char** argv) {
   EngineFlags flags;
   flags.threads = 0;  // daemon default: hardware concurrency
   uint64_t port = 0;
-  uint64_t max_batch = 16;
-  uint64_t linger_ms = 2;
   uint64_t tenant_memory_mb = 0;
   uint64_t tenant_deadline_ms = 0;
   uint64_t tenant_max_concurrent = 0;
@@ -95,8 +91,6 @@ int main(int argc, char** argv) {
     if (*consumed) continue;
     bool ok = true;
     if (ParseLocalFlag(arg, "--port", &port, &ok) ||
-        ParseLocalFlag(arg, "--max-batch", &max_batch, &ok) ||
-        ParseLocalFlag(arg, "--linger-ms", &linger_ms, &ok) ||
         ParseLocalFlag(arg, "--tenant-memory-mb", &tenant_memory_mb, &ok) ||
         ParseLocalFlag(arg, "--tenant-deadline-ms", &tenant_deadline_ms,
                        &ok) ||
@@ -116,8 +110,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr,
                  "unknown flag '%s'\nusage: %s [--port=N] [--address=A] "
-                 "[--port-file=PATH] [--max-batch=N] [--linger-ms=N] "
-                 "[--tenant-memory-mb=N] [--tenant-deadline-ms=N] "
+                 "[--port-file=PATH] [--tenant-memory-mb=N] [--tenant-deadline-ms=N] "
                  "[--tenant-max-concurrent=N] [--contain-threads=N] %s\n",
                  arg.c_str(), argv[0], EngineFlagsUsage());
     return 2;
@@ -133,8 +126,6 @@ int main(int argc, char** argv) {
   config.worker_threads = flags.threads;
   config.cache_capacity = flags.cache ? flags.cache_capacity : 0;
   config.cache_dir = flags.cache ? flags.cache_dir : "";
-  config.admission.max_batch = static_cast<size_t>(max_batch);
-  config.admission.linger_ms = linger_ms;
   config.default_deadline_ms = flags.deadline_ms;
   config.server_memory_budget_bytes = flags.max_memory_mb << 20;
   config.tenant_quota.memory_quota_bytes =

@@ -1,8 +1,11 @@
 #!/usr/bin/env sh
 # Configure, build and run the concurrency-sensitive tests under
 # ThreadSanitizer (-Werror stays on). By default runs the suites that
-# exercise the thread pool, parallel containment and governor cancellation
-# propagation; pass explicit ctest args to override the filter.
+# exercise the thread pool, parallel containment, governor cancellation
+# propagation and single-flight compilation (omq_cache_test's
+# SingleFlightTest suites on both stores, server_test's concurrent
+# same-program and leader-fault checks); pass explicit ctest args to
+# override the filter.
 # Usage: scripts/tsan.sh [extra ctest args...]
 set -eu
 cd "$(dirname "$0")/.."

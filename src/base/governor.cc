@@ -91,14 +91,22 @@ Status ResourceGovernor::Check() {
     }
   }
 
-  bool sample_clock = (n % kClockStride == 0);
   int64_t now_ns = 0;
-  if (sample_clock) {
+  if (n % kClockStride == 0) {
     now_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                  Clock::now().time_since_epoch())
                  .count();
   }
+  return CheckChain(now_ns);
+}
 
+Status ResourceGovernor::Poll() {
+  return CheckChain(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        Clock::now().time_since_epoch())
+                        .count());
+}
+
+Status ResourceGovernor::CheckChain(int64_t now_ns) {
   for (ResourceGovernor* g = this; g != nullptr; g = g->parent_) {
     int code = g->trip_code_.load(std::memory_order_acquire);
     if (code != kOkCode) {
@@ -115,7 +123,7 @@ Status ResourceGovernor::Check() {
       return Latch(StatusCode::kCancelled,
                    DefaultDetail(StatusCode::kCancelled));
     }
-    if (sample_clock) {
+    if (now_ns != 0) {
       int64_t deadline = g->deadline_ns_.load(std::memory_order_acquire);
       if (deadline != 0 && now_ns >= deadline) {
         if (g == this) {

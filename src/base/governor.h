@@ -123,6 +123,13 @@ class ResourceGovernor {
   /// one relaxed load plus, every kClockStride-th call, a clock read.
   Status Check();
 
+  /// Check() for a thread that is blocked rather than working (e.g.
+  /// waiting on another request's compilation): samples the clock on
+  /// every call and neither counts a check nor consults a fault injector,
+  /// so polling a wait does not shift the logical check indices that
+  /// FaultPlan triggers are expressed in.
+  Status Poll();
+
   /// Accounts `bytes` at this governor and every ancestor, then checks
   /// each level's budget against that level's own total. Returns the trip
   /// status if any budget is or becomes exceeded. The caller keeps
@@ -184,6 +191,10 @@ class ResourceGovernor {
     while (g->parent_ != nullptr) g = g->parent_;
     return g;
   }
+
+  /// Walks this governor and its ancestors: latched trips, cancellation
+  /// tokens and, when `now_ns` is non-zero, deadlines.
+  Status CheckChain(int64_t now_ns);
 
   /// Latches `code` as the sticky trip (first writer wins) and bumps the
   /// matching root counter. Returns the effective trip status.

@@ -3,6 +3,8 @@
 #include <utility>
 #include <vector>
 
+#include "base/governor.h"
+
 namespace omqc {
 namespace {
 
@@ -58,12 +60,14 @@ TgdProfile GetTgdProfile(ArtifactStore* cache, const TgdSet& tgds,
   if (cache == nullptr) return ComputeProfile(tgds);
   Fingerprint tgd_tag = FingerprintTgdSet(tgds);
   CacheKey key{tgd_tag, 0, ArtifactKind::kClassification};
-  if (auto hit = cache->Get<TgdProfile>(key, counters)) return *hit;
-  auto profile = std::make_shared<TgdProfile>(ComputeProfile(tgds));
-  TgdProfile result = *profile;
-  cache->Put(key, std::shared_ptr<const TgdProfile>(std::move(profile)),
-             sizeof(TgdProfile), counters, tgd_tag);
-  return result;
+  // Ungoverned: classification never fails, so neither can this.
+  return **cache->GetOrCompile<TgdProfile>(
+      key, counters, /*governor=*/nullptr, [&] {
+        auto profile =
+            std::make_shared<const TgdProfile>(ComputeProfile(tgds));
+        cache->Put(key, profile, sizeof(TgdProfile), counters, tgd_tag);
+        return profile;
+      });
 }
 
 uint64_t XRewriteOptionsDigest(const XRewriteOptions& options) {
@@ -115,20 +119,25 @@ Result<std::shared_ptr<const UnionOfCQs>> CachedXRewrite(
     return std::make_shared<const UnionOfCQs>(std::move(rewriting));
   }
   CacheKey key = RewritingCacheKey(data_schema, tgds, q, options);
-  if (auto hit = cache->Get<CachedRewriting>(key, counters)) {
-    // No rewriting work was performed, so `stats` stays untouched (the
-    // hit itself shows up in `counters`).
-    // Aliasing constructor: share ownership of the entry, expose the UCQ.
-    return std::shared_ptr<const UnionOfCQs>(hit, &hit->ucq);
-  }
-  auto computed = std::make_shared<CachedRewriting>();
+  // On a hit no rewriting work was performed, so `stats` stays untouched
+  // (the hit itself shows up in `counters`).
   OMQC_ASSIGN_OR_RETURN(
-      computed->ucq,
-      XRewrite(data_schema, tgds, q, options, &computed->compute_stats));
-  if (stats != nullptr) stats->Merge(computed->compute_stats);
-  std::shared_ptr<const CachedRewriting> entry = std::move(computed);
-  cache->Put(key, entry, ApproxBytes(entry->ucq), counters,
-             FingerprintTgdSet(tgds));
+      std::shared_ptr<const CachedRewriting> entry,
+      cache->GetOrCompile<CachedRewriting>(
+          key, counters, options.governor,
+          [&]() -> Result<std::shared_ptr<const CachedRewriting>> {
+            auto computed = std::make_shared<CachedRewriting>();
+            OMQC_ASSIGN_OR_RETURN(computed->ucq,
+                                  XRewrite(data_schema, tgds, q, options,
+                                           &computed->compute_stats));
+            if (stats != nullptr) stats->Merge(computed->compute_stats);
+            cache->Put<CachedRewriting>(key, computed,
+                                        ApproxBytes(computed->ucq), counters,
+                                        FingerprintTgdSet(tgds));
+            return std::shared_ptr<const CachedRewriting>(
+                std::move(computed));
+          }));
+  // Aliasing constructor: share ownership of the entry, expose the UCQ.
   return std::shared_ptr<const UnionOfCQs>(entry, &entry->ucq);
 }
 
@@ -142,28 +151,48 @@ Result<RewriteEnumeration> CachedEnumerateRewritings(
                                stats);
   }
   CacheKey key = RewritingCacheKey(data_schema, tgds, q, options);
-  if (auto hit = cache->Get<CachedRewriting>(key, counters)) {
-    for (const ConjunctiveQuery& d : hit->ucq.disjuncts) {
-      if (!on_disjunct(d)) return RewriteEnumeration::kStopped;
+  // The caller that compiles streams its disjuncts live; everyone else
+  // replays the stored list.
+  bool streamed = false;
+  RewriteEnumeration outcome = RewriteEnumeration::kSaturated;
+  Result<std::shared_ptr<const CachedRewriting>> entry =
+      cache->GetOrCompile<CachedRewriting>(
+          key, counters, options.governor,
+          [&]() -> Result<std::shared_ptr<const CachedRewriting>> {
+            streamed = true;
+            auto collected = std::make_shared<CachedRewriting>();
+            auto wrapped = [&collected,
+                            &on_disjunct](const ConjunctiveQuery& d) {
+              collected->ucq.disjuncts.push_back(d);
+              return on_disjunct(d);
+            };
+            OMQC_ASSIGN_OR_RETURN(
+                outcome,
+                EnumerateRewritings(data_schema, tgds, q, options, wrapped,
+                                    &collected->compute_stats));
+            if (stats != nullptr) stats->Merge(collected->compute_stats);
+            if (outcome != RewriteEnumeration::kSaturated) {
+              return std::shared_ptr<const CachedRewriting>();
+            }
+            cache->Put<CachedRewriting>(key, collected,
+                                        ApproxBytes(collected->ucq),
+                                        counters, FingerprintTgdSet(tgds));
+            return std::shared_ptr<const CachedRewriting>(
+                std::move(collected));
+          });
+  if (!entry.ok()) {
+    // A wait given up on the request governor's trip ends the way a live
+    // enumeration cut short by that governor does.
+    if (options.governor != nullptr && options.governor->tripped()) {
+      return RewriteEnumeration::kBudgetExhausted;
     }
-    return RewriteEnumeration::kSaturated;
+    return entry.status();
   }
-  auto collected = std::make_shared<CachedRewriting>();
-  auto wrapped = [&collected, &on_disjunct](const ConjunctiveQuery& d) {
-    collected->ucq.disjuncts.push_back(d);
-    return on_disjunct(d);
-  };
-  OMQC_ASSIGN_OR_RETURN(
-      RewriteEnumeration outcome,
-      EnumerateRewritings(data_schema, tgds, q, options, wrapped,
-                          &collected->compute_stats));
-  if (stats != nullptr) stats->Merge(collected->compute_stats);
-  if (outcome == RewriteEnumeration::kSaturated) {
-    size_t bytes = ApproxBytes(collected->ucq);
-    cache->Put<CachedRewriting>(key, std::move(collected), bytes, counters,
-                                FingerprintTgdSet(tgds));
+  if (streamed) return outcome;
+  for (const ConjunctiveQuery& d : (*entry)->ucq.disjuncts) {
+    if (!on_disjunct(d)) return RewriteEnumeration::kStopped;
   }
-  return outcome;
+  return RewriteEnumeration::kSaturated;
 }
 
 }  // namespace omqc

@@ -17,16 +17,21 @@ OmqCache::OmqCache(OmqCacheConfig config)
   }
 }
 
-std::shared_ptr<const void> OmqCache::GetErased(const CacheKey& key,
-                                                CacheCounters* counters) {
+std::shared_ptr<const void> OmqCache::Probe(const CacheKey& key,
+                                            CacheCounters* counters,
+                                            ProbeTally tally) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  ++shard.counters.lookups;
-  if (counters != nullptr) ++counters->lookups;
+  if (tally != ProbeTally::kResolve) {
+    ++shard.counters.lookups;
+    if (counters != nullptr) ++counters->lookups;
+  }
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    ++shard.counters.misses;
-    if (counters != nullptr) ++counters->misses;
+    if (tally != ProbeTally::kFirst) {
+      ++shard.counters.misses;
+      if (counters != nullptr) ++counters->misses;
+    }
     return nullptr;
   }
   // Refresh: move to the front of the LRU list.
@@ -91,6 +96,7 @@ OmqCacheStats OmqCache::Stats() const {
     stats.entries += shard->lru.size();
     stats.bytes += shard->bytes;
   }
+  stats.counters.coalesced = coalesced_waits();
   return stats;
 }
 

@@ -56,11 +56,11 @@ class OmqCache : public ArtifactStore {
   OmqCache& operator=(const OmqCache&) = delete;
 
   /// Looks up `key`, refreshing its LRU position. Returns nullptr on miss.
-  /// If `counters` is non-null the lookup is tallied into it as well as
-  /// into the cache-global counters.
-  std::shared_ptr<const void> GetErased(const CacheKey& key,
-                                        CacheCounters* counters =
-                                            nullptr) override;
+  /// If `counters` is non-null the probe is tallied (per `tally`) into it
+  /// as well as into the cache-global counters.
+  std::shared_ptr<const void> Probe(const CacheKey& key,
+                                    CacheCounters* counters,
+                                    ProbeTally tally) override;
 
   /// Inserts (or replaces) `key`, evicting least-recently-used entries of
   /// the shard while it is over capacity. `bytes` is the caller's size

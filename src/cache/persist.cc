@@ -430,9 +430,8 @@ Result<std::unique_ptr<TieredStore>> TieredStore::Open(
 
 TieredStore::~TieredStore() { TieredStore::Flush(); }
 
-std::shared_ptr<const void> TieredStore::GetErased(const CacheKey& key,
-                                                   CacheCounters* counters) {
-  if (auto hit = l1_->GetErased(key, counters)) return hit;
+std::shared_ptr<const void> TieredStore::ProbeBacking(
+    const CacheKey& key, CacheCounters* counters) {
   std::shared_ptr<const std::string> raw = persist_->Lookup(key);
   if (raw == nullptr) return nullptr;
   ByteReader in(*raw);
@@ -485,6 +484,7 @@ OmqCacheStats TieredStore::Stats() const {
   stats.counters.persist_writes =
       persist_writes_.load(std::memory_order_relaxed);
   stats.counters.promotions = promotions_.load(std::memory_order_relaxed);
+  stats.counters.coalesced = coalesced_waits();
   PersistentStoreStats ps = persist_->stats();
   stats.persist_entries = ps.entries;
   stats.persist_segments = ps.segments;

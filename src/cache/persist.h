@@ -156,9 +156,11 @@ class TieredStore : public ArtifactStore {
   /// that was inserted before it).
   ~TieredStore() override;
 
-  std::shared_ptr<const void> GetErased(const CacheKey& key,
-                                        CacheCounters* counters =
-                                            nullptr) override;
+  std::shared_ptr<const void> Probe(const CacheKey& key,
+                                    CacheCounters* counters,
+                                    ProbeTally tally) override {
+    return l1_->Probe(key, counters, tally);
+  }
   void PutErased(const CacheKey& key, std::shared_ptr<const void> value,
                  size_t bytes, CacheCounters* counters = nullptr,
                  const Fingerprint& tgd_tag = Fingerprint{}) override;
@@ -175,6 +177,12 @@ class TieredStore : public ArtifactStore {
 
   OmqCache* l1() { return l1_.get(); }
   PersistentStore* persist() { return persist_.get(); }
+
+ protected:
+  /// L2 after an L1 miss: decodes the stored payload and promotes it into
+  /// L1. Under GetOrCompile concurrent misses share one decode.
+  std::shared_ptr<const void> ProbeBacking(const CacheKey& key,
+                                           CacheCounters* counters) override;
 
  private:
   TieredStore(std::unique_ptr<OmqCache> l1,

@@ -59,41 +59,21 @@ class RhsEvaluator {
       EngineStats* stats = nullptr) {
     ArtifactStore* cache = options.cache;
     CacheCounters* counters = stats != nullptr ? &stats->cache : nullptr;
-    CacheKey key;
-    if (cache != nullptr) {
-      key = CacheKey{FingerprintOmqParts(q2.data_schema, q2.tgds, q2.query),
-                     EvalOptionsDigest(options.eval),
-                     ArtifactKind::kRhsEvaluator};
-      if (auto hit = cache->Get<RhsEvaluator>(key, counters)) return hit;
-    }
-    std::shared_ptr<RhsEvaluator> evaluator(
-        new RhsEvaluator(q2, options.eval));
-    TgdProfile profile = GetTgdProfile(cache, q2.tgds, counters);
-    // Precompute the RHS rewriting only when the chase does not terminate
-    // (for terminating sets, per-candidate chasing is cheaper than a
-    // potentially large rewriting). The setup runs under the REQUEST
-    // governor (attached per call, never stored: the cache digest ignores
-    // it, and the cached artifact must not dangle into this request).
-    if ((profile.primary == TgdClass::kLinear ||
-         profile.primary == TgdClass::kSticky) &&
-        !profile.non_recursive && !profile.full) {
-      XRewriteStats setup;
-      XRewriteOptions setup_rewrite = options.eval.rewrite;
-      setup_rewrite.governor = options.governor;
-      OMQC_ASSIGN_OR_RETURN(
-          evaluator->rewriting_,
-          CachedXRewrite(cache, q2.data_schema, q2.tgds, q2.query,
-                         setup_rewrite, &setup, counters));
-      if (stats != nullptr) stats->rewrite.Merge(setup);
-    }
-    if (cache != nullptr) {
-      size_t bytes = sizeof(RhsEvaluator);
-      if (evaluator->rewriting_ != nullptr) {
-        bytes += ApproxBytes(*evaluator->rewriting_);
-      }
-      cache->Put<RhsEvaluator>(key, evaluator, bytes, counters);
-    }
-    return std::shared_ptr<const RhsEvaluator>(std::move(evaluator));
+    if (cache == nullptr) return Build(q2, options, stats);
+    CacheKey key{FingerprintOmqParts(q2.data_schema, q2.tgds, q2.query),
+                 EvalOptionsDigest(options.eval), ArtifactKind::kRhsEvaluator};
+    return cache->GetOrCompile<RhsEvaluator>(
+        key, counters, options.governor,
+        [&]() -> Result<std::shared_ptr<const RhsEvaluator>> {
+          OMQC_ASSIGN_OR_RETURN(std::shared_ptr<const RhsEvaluator> evaluator,
+                                Build(q2, options, stats));
+          size_t bytes = sizeof(RhsEvaluator);
+          if (evaluator->rewriting_ != nullptr) {
+            bytes += ApproxBytes(*evaluator->rewriting_);
+          }
+          cache->Put<RhsEvaluator>(key, evaluator, bytes, counters);
+          return evaluator;
+        });
   }
 
   /// Exact answer or ResourceExhausted / governor trip (budgeted
@@ -146,6 +126,33 @@ class RhsEvaluator {
     // whichever request happened to build the entry).
     eval_.governor = nullptr;
     eval_.rewrite.governor = nullptr;
+  }
+
+  /// The uncached build behind Make.
+  static Result<std::shared_ptr<const RhsEvaluator>> Build(
+      const Omq& q2, const ContainmentOptions& options, EngineStats* stats) {
+    CacheCounters* counters = stats != nullptr ? &stats->cache : nullptr;
+    std::shared_ptr<RhsEvaluator> evaluator(
+        new RhsEvaluator(q2, options.eval));
+    TgdProfile profile = GetTgdProfile(options.cache, q2.tgds, counters);
+    // Precompute the RHS rewriting only when the chase does not terminate
+    // (for terminating sets, per-candidate chasing is cheaper than a
+    // potentially large rewriting). The setup runs under the REQUEST
+    // governor (attached per call, never stored: the cache digest ignores
+    // it, and the cached artifact must not dangle into this request).
+    if ((profile.primary == TgdClass::kLinear ||
+         profile.primary == TgdClass::kSticky) &&
+        !profile.non_recursive && !profile.full) {
+      XRewriteStats setup;
+      XRewriteOptions setup_rewrite = options.eval.rewrite;
+      setup_rewrite.governor = options.governor;
+      OMQC_ASSIGN_OR_RETURN(
+          evaluator->rewriting_,
+          CachedXRewrite(options.cache, q2.data_schema, q2.tgds, q2.query,
+                         setup_rewrite, &setup, counters));
+      if (stats != nullptr) stats->rewrite.Merge(setup);
+    }
+    return std::shared_ptr<const RhsEvaluator>(std::move(evaluator));
   }
 
   Omq q2_;

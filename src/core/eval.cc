@@ -237,14 +237,7 @@ Result<std::vector<std::vector<Term>>> EvalAll(const Omq& omq,
   // not answers") and constants are interned by name. Only complete
   // (fixpoint) chases are cached; truncated chases depend on what stopped
   // them and are recomputed.
-  std::shared_ptr<const CachedChase> chase_entry;
-  CacheKey chase_key;
-  if (options.cache != nullptr) {
-    chase_key = ChaseCacheKey(database, omq.tgds,
-                              ChaseOptionsDigestFor(chase_options));
-    chase_entry = options.cache->Get<CachedChase>(chase_key, cache_counters);
-  }
-  if (chase_entry == nullptr) {
+  auto chase = [&]() -> Result<std::shared_ptr<const CachedChase>> {
     OMQC_ASSIGN_OR_RETURN(ChaseResult chased,
                           Chase(database, omq.tgds, chase_options));
     RecordChase(chased, database.size(), stats);
@@ -256,13 +249,26 @@ Result<std::vector<std::vector<Term>>> EvalAll(const Omq& omq,
     }
     auto computed = std::make_shared<CachedChase>();
     computed->instance = std::move(chased.instance);
-    if (options.cache != nullptr) {
-      options.cache->Put<CachedChase>(chase_key, computed,
-                                      computed->instance.MemoryBytes(),
-                                      cache_counters,
-                                      FingerprintTgdSet(omq.tgds));
-    }
-    chase_entry = std::move(computed);
+    return std::shared_ptr<const CachedChase>(std::move(computed));
+  };
+  std::shared_ptr<const CachedChase> chase_entry;
+  if (options.cache == nullptr) {
+    OMQC_ASSIGN_OR_RETURN(chase_entry, chase());
+  } else {
+    CacheKey chase_key = ChaseCacheKey(database, omq.tgds,
+                                       ChaseOptionsDigestFor(chase_options));
+    OMQC_ASSIGN_OR_RETURN(
+        chase_entry,
+        options.cache->GetOrCompile<CachedChase>(
+            chase_key, cache_counters, options.governor,
+            [&]() -> Result<std::shared_ptr<const CachedChase>> {
+              OMQC_ASSIGN_OR_RETURN(std::shared_ptr<const CachedChase> entry,
+                                    chase());
+              options.cache->Put<CachedChase>(
+                  chase_key, entry, entry->instance.MemoryBytes(),
+                  cache_counters, FingerprintTgdSet(omq.tgds));
+              return entry;
+            }));
   }
   // On a hit no chase ran: the chase counters stay untouched (EngineStats
   // counters mean work performed; the saved chase shows up in `cache`).

@@ -18,6 +18,7 @@ void AppendCacheCountersJson(JsonWriter& w, std::string_view key,
   w.Field("lookups", cache.lookups);
   w.Field("hits", cache.hits);
   w.Field("misses", cache.misses);
+  w.Field("coalesced", cache.coalesced);
   w.Field("insertions", cache.insertions);
   w.Field("evictions", cache.evictions);
   w.Field("bytes_inserted", cache.bytes_inserted);

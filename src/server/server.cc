@@ -33,20 +33,8 @@ struct OmqServer::PendingRequest {
   Schema schema;
   TenantLease lease;
   std::shared_ptr<Connection> conn;
-  uint64_t admission_wait_us = 0;
+  Clock::time_point queued_at;  ///< when Dispatch handed it to the pool
 };
-
-namespace {
-
-/// Leader/follower rendezvous for one admission batch: followers park
-/// until the leader has executed (and warmed the shared cache).
-struct BatchState {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool leader_done = false;
-};
-
-}  // namespace
 
 OmqServer::OmqServer(ServerConfig config)
     : config_(std::move(config)),
@@ -82,18 +70,12 @@ OmqServer::~OmqServer() { Shutdown(); }
 void OmqServer::Start() {
   // call_once, not an atomic exchange: concurrent first connections must
   // all block until the pipeline exists, or the loser's session thread
-  // would race a half-constructed admission queue.
+  // would race a half-constructed pool.
   std::call_once(start_once_, [this] {
     size_t threads = config_.worker_threads != 0
                          ? config_.worker_threads
                          : ThreadPool::DefaultConcurrency();
     pool_ = std::make_unique<ThreadPool>(threads);
-    admission_ = std::make_unique<AdmissionQueue>(
-        config_.admission,
-        [this](std::vector<AdmissionQueue::Ticket>&& batch,
-               uint64_t batch_id, bool dropped) {
-          RunBatch(std::move(batch), batch_id, dropped);
-        });
   });
 }
 
@@ -260,79 +242,38 @@ void OmqServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   Status trip = pending->lease.governor->TripStatus();
   if (!trip.ok()) {
     FailPending(pending, trip.code(),
-                StrCat("tenant governor tripped: ", trip.message()),
-                /*batch_id=*/0, /*batch_size=*/0);
+                StrCat("tenant governor tripped: ", trip.message()));
     return;
   }
-
-  BatchKey key;
-  key.ontology = FingerprintTgdSet(pending->program.tgds);
-  key.kind = static_cast<uint8_t>(pending->request.type);
-  if (!admission_->Submit(key, pending)) {
-    FailPending(pending, StatusCode::kCancelled, "server shutting down",
-                /*batch_id=*/0, /*batch_size=*/0);
+  if (!Dispatch(pending)) {
+    FailPending(pending, StatusCode::kCancelled, "server shutting down");
   }
 }
 
-void OmqServer::RunBatch(std::vector<AdmissionQueue::Ticket>&& batch,
-                         uint64_t batch_id, bool dropped) {
-  uint32_t batch_size = static_cast<uint32_t>(batch.size());
-  if (dropped) {
-    // Fault-injected drop: every rider is answered and every lease
-    // settled right here on the dispatcher thread — the queue stays
-    // serviceable and no governor charge leaks (tests/server_test.cc).
-    for (AdmissionQueue::Ticket& ticket : batch) {
-      auto pending =
-          std::static_pointer_cast<PendingRequest>(ticket.payload);
-      pending->admission_wait_us = ticket.wait_us;
-      FailPending(pending, StatusCode::kCancelled,
-                  "admission batch dropped (injected)", batch_id,
-                  batch_size);
-    }
-    return;
-  }
-  if (batch.size() == 1) {
-    auto pending =
-        std::static_pointer_cast<PendingRequest>(batch.front().payload);
-    pending->admission_wait_us = batch.front().wait_us;
-    pool_->Submit([this, pending, batch_id, batch_size] {
-      Execute(pending, batch_id, batch_size);
-    });
-    return;
-  }
-  // Leader first, then followers. The pool is FIFO, so the leader is
-  // always dequeued before any follower: a parked follower's leader is
-  // running or done, never queued behind it — deadlock-free at any pool
-  // size, including 1.
-  auto state = std::make_shared<BatchState>();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto pending =
-        std::static_pointer_cast<PendingRequest>(batch[i].payload);
-    pending->admission_wait_us = batch[i].wait_us;
-    if (i == 0) {
-      pool_->Submit([this, pending, state, batch_id, batch_size] {
-        Execute(pending, batch_id, batch_size);
-        {
-          std::lock_guard<std::mutex> lock(state->mu);
-          state->leader_done = true;
-        }
-        state->cv.notify_all();
-      });
-    } else {
-      pool_->Submit([this, pending, state, batch_id, batch_size] {
-        {
-          std::unique_lock<std::mutex> lock(state->mu);
-          state->cv.wait(lock, [&] { return state->leader_done; });
-        }
-        Execute(pending, batch_id, batch_size);
-      });
-    }
-  }
+bool OmqServer::Dispatch(const std::shared_ptr<PendingRequest>& pending) {
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  if (queue_closed_) return false;
+  pending->queued_at = Clock::now();
+  ++queue_stats_.submitted;
+  queue_stats_.queue_depth_peak =
+      std::max(queue_stats_.queue_depth_peak, ++queue_depth_);
+  pool_->Submit([this, pending] { Execute(pending); });
+  return true;
 }
 
-void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending,
-                        uint64_t batch_id, uint32_t batch_size) {
+void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending) {
   const WireRequest& request = pending->request;
+  const uint64_t wait_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          Clock::now() - pending->queued_at)
+          .count());
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    ++queue_stats_.batches_dispatched;
+    --queue_depth_;
+    queue_stats_.wait_us_total += wait_us;
+    queue_stats_.wait_us_max = std::max(queue_stats_.wait_us_max, wait_us);
+  }
 
   ResourceGovernor req_gov(pending->lease.governor.get());
   uint64_t deadline_ms = request.deadline_ms;
@@ -348,9 +289,7 @@ void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending,
 
   WireResponse response;
   response.request_id = request.request_id;
-  response.batch_id = batch_id;
-  response.batch_size = batch_size;
-  response.admission_wait_us = pending->admission_wait_us;
+  response.admission_wait_us = wait_us;
 
   EngineStats stats;
   switch (request.type) {
@@ -426,35 +365,28 @@ void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending,
 
   StatusCode code = response.code;
   SendResponse(pending->conn, std::move(response));
-  SettleLease(pending, req_gov.local_charged_bytes(), code, stats,
-              batch_size > 1);
+  SettleLease(pending, req_gov.local_charged_bytes(), code, stats);
 }
 
 void OmqServer::FailPending(const std::shared_ptr<PendingRequest>& pending,
-                            StatusCode code, const std::string& message,
-                            uint64_t batch_id, uint32_t batch_size) {
+                            StatusCode code, const std::string& message) {
   WireResponse response;
   response.request_id = pending->request.request_id;
   response.code = code;
   response.message = message;
-  response.batch_id = batch_id;
-  response.batch_size = batch_size;
-  response.admission_wait_us = pending->admission_wait_us;
   SendResponse(pending->conn, std::move(response));
-  SettleLease(pending, /*residual_bytes=*/0, code, EngineStats(),
-              batch_size > 1);
+  SettleLease(pending, /*residual_bytes=*/0, code, EngineStats());
 }
 
 void OmqServer::SettleLease(const std::shared_ptr<PendingRequest>& pending,
                             size_t residual_bytes, StatusCode code,
-                            const EngineStats& stats, bool batched) {
+                            const EngineStats& stats) {
   std::vector<TenantRegistry::Resumed> work =
-      tenants_.Complete(pending->lease, residual_bytes, code, stats,
-                        batched);
+      tenants_.Complete(pending->lease, residual_bytes, code, stats);
   // Dispatch everything the completion released. A resumed request that
-  // cannot run (tripped governor, admission refused) is answered right
-  // here and its own settlement may release more work — hence the
-  // worklist, so an arbitrarily long failing cascade stays iterative.
+  // cannot run (tripped governor, shutdown) is answered right here and
+  // its own settlement may release more work — hence the worklist, so an
+  // arbitrarily long failing cascade stays iterative.
   while (!work.empty()) {
     TenantRegistry::Resumed resumed = std::move(work.back());
     work.pop_back();
@@ -465,13 +397,8 @@ void OmqServer::SettleLease(const std::shared_ptr<PendingRequest>& pending,
       refusal = Status(refusal.code(),
                        StrCat("tenant governor tripped: ",
                               refusal.message()));
-    } else {
-      BatchKey key;
-      key.ontology = FingerprintTgdSet(next->program.tgds);
-      key.kind = static_cast<uint8_t>(next->request.type);
-      if (!admission_->Submit(key, next)) {
-        refusal = Status::Cancelled("server shutting down");
-      }
+    } else if (!Dispatch(next)) {
+      refusal = Status::Cancelled("server shutting down");
     }
     if (refusal.ok()) continue;
     WireResponse response;
@@ -480,8 +407,7 @@ void OmqServer::SettleLease(const std::shared_ptr<PendingRequest>& pending,
     response.message = refusal.message();
     SendResponse(next->conn, std::move(response));
     auto more = tenants_.Complete(next->lease, /*residual_bytes=*/0,
-                                  refusal.code(), EngineStats(),
-                                  /*batched=*/false);
+                                  refusal.code(), EngineStats());
     for (auto& m : more) work.push_back(std::move(m));
   }
 }
@@ -528,9 +454,12 @@ void OmqServer::Shutdown() {
   // 1. Stop accepting connections.
   if (listen_fd_.valid()) ShutdownSocket(listen_fd_.get());
   if (accept_thread_.joinable()) accept_thread_.join();
-  // 2. Flush the admission queue (new submissions now bounce) and drain
-  //    every execution — all responses are written after this.
-  if (admission_ != nullptr) admission_->Shutdown();
+  // 2. Close the pool queue (new dispatches now bounce) and drain every
+  //    execution — all responses are written after this.
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    queue_closed_ = true;
+  }
   if (pool_ != nullptr) pool_->Wait();
   // 2b. Requests still parked in tenant concurrency queues can no longer
   //     be dequeued by a completion (the pool is drained): answer them
@@ -569,12 +498,12 @@ void OmqServer::Shutdown() {
 }
 
 void OmqServer::set_fault_injector(FaultInjector* injector) {
-  if (admission_ != nullptr) admission_->set_fault_injector(injector);
   if (cache_ != nullptr) cache_->set_fault_injector(injector);
 }
 
 AdmissionStats OmqServer::admission_stats() const {
-  return admission_ != nullptr ? admission_->Stats() : AdmissionStats{};
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  return queue_stats_;
 }
 
 ServerCounters OmqServer::counters() const {
@@ -602,18 +531,11 @@ std::string OmqServer::StatsJson() const {
     w.EndObject();
   }
 
-  AdmissionStats admission =
-      admission_ != nullptr ? admission_->Stats() : AdmissionStats();
+  AdmissionStats admission = admission_stats();
   w.BeginObject("admission");
   w.Field("submitted", admission.submitted);
-  w.Field("rejected", admission.rejected);
-  w.Field("batches_dispatched", admission.batches_dispatched);
-  w.Field("batches_dropped", admission.batches_dropped);
-  w.Field("dropped_requests", admission.dropped_requests);
-  w.Field("batched_requests", admission.batched_requests);
-  w.Field("max_batch_size", admission.max_batch_size);
+  w.Field("dispatched", admission.batches_dispatched);
   w.Field("queue_depth_peak", admission.queue_depth_peak);
-  w.Field("current_depth", admission.current_depth);
   w.Field("wait_us_total", admission.wait_us_total);
   w.Field("wait_us_max", admission.wait_us_max);
   w.EndObject();
@@ -634,7 +556,6 @@ std::string OmqServer::StatsJson() const {
     w.Field("deadline_trips", snap.counters.deadline_trips);
     w.Field("cancel_trips", snap.counters.cancel_trips);
     w.Field("memory_trips", snap.counters.memory_trips);
-    w.Field("batched_requests", snap.counters.batched_requests);
     w.Field("cache_hits", snap.counters.cache_hits);
     w.Field("cache_misses", snap.counters.cache_misses);
     w.Field("governor_resets", snap.counters.governor_resets);

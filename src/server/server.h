@@ -2,30 +2,31 @@
 //
 // Request path (see DESIGN.md "Server pipeline"):
 //
-//   session thread ──► admission queue ──► dispatcher ──► worker pool
-//   (read + parse)     (batch by ontology    (leader /      (execute,
-//                       fingerprint+kind)     followers)     respond)
+//   session thread ──► tenant admission ──► worker pool (FIFO)
+//   (read + parse)     (quota; may park)     (execute, respond)
 //
 // Each connection gets a session thread that reads frames, answers
 // ping/stats/shutdown inline, parses eval/contain/classify programs, and
-// enqueues an admission ticket. The admission queue (admission.h) groups
-// tickets by BatchKey; the dispatcher submits each batch to the shared
-// ThreadPool as one *leader* task followed by follower tasks that block on
-// the leader. The leader's compilation warms the shared OmqCache, so the
-// followers hit where serial one-shot runs would each compile cold. FIFO
-// pool order makes this deadlock-free at any pool size: a batch's leader
-// is always dequeued before its followers, so a waiting follower's leader
-// is already running or done.
+// admits the request to its tenant (tenant.h). An admitted request goes
+// straight to the shared ThreadPool; one over its tenant's concurrency
+// quota parks until a completion of that tenant releases it.
+//
+// Sharing work between concurrent requests is the artifact store's job,
+// not the server's: every compilation step goes through
+// ArtifactStore::GetOrCompile (cache/artifact_store.h), so concurrent
+// requests missing on the same key run one compilation and the rest wait
+// for it — nothing holds a request back hoping for company.
 //
 // Resource governance: every request executes under a fresh governor
 // child of its tenant's governor (tenant.h), itself a child of the
 // server-wide governor. A request trip (deadline/memory) answers that
 // request with the trip code; sibling requests and other tenants are
-// untouched.
+// untouched. A request waiting on another's compilation still honours its
+// own deadline and cancellation.
 //
-// Responses may leave a connection out of order (batching); clients
-// correlate by request_id. All writes to one connection are serialized by
-// a per-connection mutex.
+// Responses may leave a connection out of order (requests on one
+// connection run concurrently); clients correlate by request_id. All
+// writes to one connection are serialized by a per-connection mutex.
 
 #ifndef OMQC_SERVER_SERVER_H_
 #define OMQC_SERVER_SERVER_H_
@@ -34,6 +35,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,7 +47,6 @@
 #include "base/thread_pool.h"
 #include "cache/persist.h"
 #include "chase/chase.h"
-#include "server/admission.h"
 #include "server/tenant.h"
 #include "server/wire.h"
 
@@ -64,7 +65,6 @@ struct ServerConfig {
   /// it on drain; an unopenable directory degrades to memory-only with a
   /// warning on stderr (the server still comes up).
   std::string cache_dir;
-  AdmissionConfig admission;
   /// Deadline for requests that carry none (0 = tenant default, then
   /// unlimited).
   uint64_t default_deadline_ms = 0;
@@ -79,7 +79,18 @@ struct ServerConfig {
   ChaseStrategy chase = ChaseStrategy::kSemiNaive;
 };
 
-/// Server-level tallies (beyond admission/cache/tenant counters).
+/// Worker-pool queue tallies for the STATS endpoint. A request is queued
+/// from tenant admission until a worker starts it; each dispatch starts
+/// exactly one request.
+struct AdmissionStats {
+  uint64_t submitted = 0;           ///< requests handed to the pool
+  uint64_t batches_dispatched = 0;  ///< requests a worker has started
+  uint64_t queue_depth_peak = 0;    ///< most requests queued at once
+  uint64_t wait_us_total = 0;       ///< admission -> worker start, summed
+  uint64_t wait_us_max = 0;
+};
+
+/// Server-level tallies (beyond queue/cache/tenant counters).
 struct ServerCounters {
   uint64_t connections = 0;
   uint64_t requests = 0;       ///< frames decoded into requests
@@ -100,8 +111,8 @@ class OmqServer {
   /// Equivalent to Shutdown().
   ~OmqServer();
 
-  /// Starts the execution pipeline (pool + admission queue) without a
-  /// network listener — for in-process connections only.
+  /// Starts the execution pipeline (the worker pool) without a network
+  /// listener — for in-process connections only.
   void Start();
 
   /// Start() plus a TCP listener on `port` (0 = ephemeral). Returns the
@@ -113,8 +124,8 @@ class OmqServer {
   /// or without a listener.
   Result<OwnedFd> ConnectInProcess();
 
-  /// Graceful stop: refuse new work, flush the admission queue, drain the
-  /// pool, unblock and join every session. Idempotent.
+  /// Graceful stop: refuse new work, drain the pool, unblock and join
+  /// every session. Idempotent.
   void Shutdown();
 
   /// Marks the server as asked to shut down (kShutdown request or a
@@ -125,15 +136,15 @@ class OmqServer {
   /// Blocks until RequestShutdown or the timeout; true when requested.
   bool WaitForShutdownRequest(std::chrono::milliseconds timeout);
 
-  /// The full metrics document served by kStats: server counters,
-  /// admission stats, cache stats, server governor, per-tenant sections.
+  /// The full metrics document served by kStats: server counters, pool
+  /// queue stats, cache stats, server governor, per-tenant sections.
   std::string StatsJson() const;
 
   const ServerConfig& config() const { return config_; }
   ArtifactStore* cache() { return cache_.get(); }
   ResourceGovernor* governor() { return &governor_; }
 
-  /// Point-in-time admission-queue tallies ({} before Start()).
+  /// Point-in-time pool-queue tallies.
   AdmissionStats admission_stats() const;
   /// Point-in-time per-tenant view (tenant.h TenantSnapshot).
   std::map<std::string, TenantRegistry::TenantSnapshot> TenantSnapshots()
@@ -142,8 +153,8 @@ class OmqServer {
   }
   ServerCounters counters() const;
 
-  /// Test-only: wires a fault injector into the admission queue (batch
-  /// drops) and the cache (insert drops). Install before traffic.
+  /// Test-only: wires a fault injector into the cache (insert drops).
+  /// Install before traffic.
   void set_fault_injector(FaultInjector* injector);
 
  private:
@@ -152,39 +163,40 @@ class OmqServer {
 
   void AcceptLoop();
   void SessionLoop(std::shared_ptr<Connection> conn);
-  /// Handles one decoded request on the session thread; enqueues
+  /// Handles one decoded request on the session thread; admits
   /// eval/contain/classify, answers everything else inline.
   void HandleRequest(const std::shared_ptr<Connection>& conn,
                      WireRequest&& request);
-  /// Admission dispatch callback (dispatcher thread): leader/follower
-  /// submission, or dropped-batch completion.
-  void RunBatch(std::vector<AdmissionQueue::Ticket>&& batch,
-                uint64_t batch_id, bool dropped);
+  /// Queues an admitted request on the pool. Returns false (queueing
+  /// nothing) once Shutdown has closed the queue.
+  bool Dispatch(const std::shared_ptr<PendingRequest>& pending);
   /// Executes one request on a pool worker and sends its response.
-  void Execute(const std::shared_ptr<PendingRequest>& pending,
-               uint64_t batch_id, uint32_t batch_size);
+  void Execute(const std::shared_ptr<PendingRequest>& pending);
   /// Sends `response` on `conn` (any thread; serialized per connection).
   void SendResponse(const std::shared_ptr<Connection>& conn,
                     WireResponse&& response);
-  /// Answers a request that never reaches the pool (dropped batch,
-  /// rejected admission, tripped tenant) and settles its lease.
+  /// Answers an admitted request that never reaches the pool (tripped
+  /// tenant, shutdown) and settles its lease.
   void FailPending(const std::shared_ptr<PendingRequest>& pending,
-                   StatusCode code, const std::string& message,
-                   uint64_t batch_id, uint32_t batch_size);
+                   StatusCode code, const std::string& message);
   /// Settles a finished request's tenant lease, then dispatches any
   /// requests its completion released from the tenant's concurrency
-  /// queue (trip-check + admission submit, answering failures inline).
+  /// queue (trip-check + dispatch, answering failures inline).
   /// Iterative — a cascade of failing resumed requests cannot recurse.
   void SettleLease(const std::shared_ptr<PendingRequest>& pending,
                    size_t residual_bytes, StatusCode code,
-                   const EngineStats& stats, bool batched);
+                   const EngineStats& stats);
 
   ServerConfig config_;
   ResourceGovernor governor_;  ///< server-wide root governor
   std::unique_ptr<ArtifactStore> cache_;
   TenantRegistry tenants_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<AdmissionQueue> admission_;
+
+  mutable std::mutex queue_mu_;
+  AdmissionStats queue_stats_;
+  uint64_t queue_depth_ = 0;
+  bool queue_closed_ = false;  ///< Shutdown began; Dispatch refuses
 
   OwnedFd listen_fd_;
   std::thread accept_thread_;

@@ -144,8 +144,6 @@ std::string EncodeResponse(const WireResponse& response) {
   PutString(&out, response.message);
   PutString(&out, response.body);
   PutString(&out, response.stats_json);
-  PutU64(&out, response.batch_id);
-  PutU32(&out, response.batch_size);
   PutU64(&out, response.admission_wait_us);
   return out;
 }
@@ -187,8 +185,6 @@ Result<WireResponse> DecodeResponse(std::string_view payload) {
   OMQC_RETURN_IF_ERROR(r.String(&response.message));
   OMQC_RETURN_IF_ERROR(r.String(&response.body));
   OMQC_RETURN_IF_ERROR(r.String(&response.stats_json));
-  OMQC_RETURN_IF_ERROR(r.U64(&response.batch_id));
-  OMQC_RETURN_IF_ERROR(r.U32(&response.batch_size));
   OMQC_RETURN_IF_ERROR(r.U64(&response.admission_wait_us));
   OMQC_RETURN_IF_ERROR(r.ExpectEnd());
   return response;

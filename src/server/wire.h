@@ -11,12 +11,16 @@
 // u64 deadline_ms, u64 max_memory_bytes, str program, str query, str
 // query2 — where `str` is u32 length + bytes. Response fields: u64
 // request_id, u8 status_code, str status_message, str body, str
-// stats_json, u64 batch_id, u32 batch_size, u64 admission_wait_us.
+// stats_json, u64 admission_wait_us.
 //
 // `body` carries the verdict text, byte-identical to what omqc_cli prints
 // for the same request (src/core/frontend.h Format* helpers). Requests on
-// one connection may be answered out of order (admission batching);
+// one connection may be answered out of order (they execute concurrently);
 // request_id is the correlation key.
+//
+// Version history: 1 carried u64 batch_id + u32 batch_size before
+// admission_wait_us (server-side admission batching, since removed); 2
+// drops them. A frame of any other version is refused with kUnsupported.
 
 #ifndef OMQC_SERVER_WIRE_H_
 #define OMQC_SERVER_WIRE_H_
@@ -30,7 +34,7 @@
 namespace omqc {
 
 /// Protocol version carried in every frame; bumped on layout changes.
-inline constexpr uint8_t kWireVersion = 1;
+inline constexpr uint8_t kWireVersion = 2;
 
 /// Hard ceiling on frame payloads (hostile or corrupt length prefixes
 /// must not drive allocation).
@@ -75,10 +79,8 @@ struct WireResponse {
   std::string body;
   /// Per-request EngineStats as JSON (empty for ping/stats/shutdown).
   std::string stats_json;
-  /// Admission metadata: which batch carried the request and how long it
-  /// waited in the queue.
-  uint64_t batch_id = 0;
-  uint32_t batch_size = 0;
+  /// Microseconds from tenant admission to a worker starting the request
+  /// (time queued for the pool).
   uint64_t admission_wait_us = 0;
 };
 

@@ -1,9 +1,10 @@
 // End-to-end tests for the omqc server subsystem (src/server): wire
 // protocol round-trips, CLI-identical verdicts across worker pool sizes,
 // per-tenant governor isolation (deadline and memory trips never touch
-// sibling tenants), admission batching that shares one compilation across
-// concurrent requests, and chaos: dropped admission batches must complete
-// every request, keep the queue serviceable and leak no governor charges.
+// sibling tenants), concurrent same-program requests sharing one
+// compilation through the single-flight artifact store, and chaos: a fault
+// in the compiling request must still complete every request with the
+// certified verdict or a trip code, and leak no governor charges.
 
 #include "server/server.h"
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "base/fault_injection.h"
+#include "core/containment.h"
 #include "core/eval.h"
 #include "core/frontend.h"
 #include "generators/families.h"
@@ -136,8 +138,6 @@ TEST(WireTest, ResponseRoundTrip) {
   response.message = "deadline exceeded";
   response.body = "3 answer(s):\n";
   response.stats_json = "{}";
-  response.batch_id = 9;
-  response.batch_size = 4;
   response.admission_wait_us = 1234;
 
   auto decoded = DecodeResponse(EncodeResponse(response));
@@ -146,9 +146,42 @@ TEST(WireTest, ResponseRoundTrip) {
   EXPECT_EQ(decoded->code, StatusCode::kDeadlineExceeded);
   EXPECT_EQ(decoded->message, "deadline exceeded");
   EXPECT_EQ(decoded->body, "3 answer(s):\n");
-  EXPECT_EQ(decoded->batch_id, 9u);
-  EXPECT_EQ(decoded->batch_size, 4u);
+  EXPECT_EQ(decoded->stats_json, "{}");
   EXPECT_EQ(decoded->admission_wait_us, 1234u);
+}
+
+// Little-endian field writers for hand-built frames of an older layout.
+void AppendLe(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+void AppendStr(std::string* out, const std::string& s) {
+  AppendLe(out, s.size(), 4);
+  out->append(s);
+}
+
+TEST(WireTest, PreviousVersionFramesAreRefused) {
+  // A version-1 response: it carried u64 batch_id + u32 batch_size ahead
+  // of admission_wait_us. Decoding must refuse it, not misread the fields.
+  std::string v1_response;
+  AppendLe(&v1_response, 1, 1);   // protocol version
+  AppendLe(&v1_response, 7, 8);   // request_id
+  AppendLe(&v1_response, 0, 1);   // status code kOk
+  AppendStr(&v1_response, "");    // message
+  AppendStr(&v1_response, "pong");
+  AppendStr(&v1_response, "");    // stats_json
+  AppendLe(&v1_response, 9, 8);   // batch_id
+  AppendLe(&v1_response, 4, 4);   // batch_size
+  AppendLe(&v1_response, 1234, 8);
+  ASSERT_LT(1, kWireVersion);
+  EXPECT_EQ(DecodeResponse(v1_response).status().code(),
+            StatusCode::kUnsupported);
+
+  std::string previous_request = EncodeRequest(WireRequest{});
+  previous_request[0] = static_cast<char>(kWireVersion - 1);
+  EXPECT_EQ(DecodeRequest(previous_request).status().code(),
+            StatusCode::kUnsupported);
 }
 
 TEST(WireTest, MalformedAndVersionMismatchAreRejected) {
@@ -172,7 +205,6 @@ TEST(ServerTest, VerdictsByteIdenticalAcrossWorkerThreads) {
   for (size_t threads : {1u, 2u, 8u}) {
     ServerConfig config;
     config.worker_threads = threads;
-    config.admission.linger_ms = 0;
     OmqServer server(std::move(config));
     OmqClient client = MakeClient(server);
 
@@ -305,7 +337,10 @@ TEST(ServerTest, MemoryTrippedTenantDoesNotDisturbSiblings) {
   request.type = RequestType::kEval;
   request.tenant = "greedy";
   request.max_memory_bytes = 1;  // first chase charge trips
-  request.program = kUniversityProgram;
+  // One extra fact gives this request a chase of its own: on the shared
+  // program it could be served the chase the sibling tenant compiled (or
+  // wait for it), charging nothing.
+  request.program = std::string(kUniversityProgram) + "Professor(knuth).\n";
   request.query = "FacultyQ";
   auto response = greedy.Call(std::move(request));
   ASSERT_TRUE(response.ok());
@@ -394,153 +429,193 @@ TEST(ServerTest, TrippedTenantGovernorIsReplacedAfterDrain) {
   server.Shutdown();
 }
 
-// ---------- Admission batching ----------
+// ---------- Single-flight compilation ----------
 
-TEST(ServerTest, BatchedRequestsShareOneCompilation) {
-  // Baseline: one cold containment on a fresh server = the per-request
-  // cold compilation cost in cache misses.
-  size_t cold_misses = 0;
-  {
-    ServerConfig config;
-    config.admission.linger_ms = 0;
-    OmqServer baseline(std::move(config));
-    OmqClient client = MakeClient(baseline);
-    auto response =
-        client.Contain(kUniversityProgram, "TeachersQ", "FacultyQ");
-    ASSERT_TRUE(response.ok());
-    ASSERT_EQ(response->code, StatusCode::kOk) << response->message;
-    cold_misses = baseline.cache()->Stats().counters.misses;
-    baseline.Shutdown();
-  }
-  ASSERT_GT(cold_misses, 0u);
+// The value of the first `"key":<number>` in a JSON document (0 if absent).
+uint64_t JsonCounter(const std::string& json, const std::string& key) {
+  size_t at = json.find("\"" + key + "\":");
+  if (at == std::string::npos) return 0;
+  return std::stoull(json.substr(at + key.size() + 3));
+}
 
-  // Four concurrent identical requests on a fresh server: the admission
-  // queue holds them into one batch, the leader compiles cold, the
-  // followers hit the shared cache.
-  ServerConfig config;
-  config.worker_threads = 4;
-  config.admission.max_batch = 4;
-  config.admission.linger_ms = 2000;  // batch closes by count, not time
-  OmqServer server(std::move(config));
-
-  constexpr int kRequests = 4;
-  std::vector<std::string> bodies(kRequests);
-  std::atomic<int> failures{0};
+// Runs `n` concurrent requests made by `make` on fresh clients of `server`
+// and returns their responses (a transport failure fails the test).
+template <typename MakeRequest>
+std::vector<WireResponse> CallConcurrently(OmqServer& server, int n,
+                                           MakeRequest make) {
+  std::vector<WireResponse> responses(n);
   std::vector<std::thread> workers;
-  for (int i = 0; i < kRequests; ++i) {
+  for (int i = 0; i < n; ++i) {
     OmqClient client = MakeClient(server);
     workers.emplace_back(
-        [i, &bodies, &failures, client = std::move(client)]() mutable {
-          auto response = client.Contain(kUniversityProgram, "TeachersQ",
-                                         "FacultyQ",
-                                         "t" + std::to_string(i % 2));
-          if (!response.ok() || response->code != StatusCode::kOk ||
-              response->batch_size != static_cast<uint32_t>(kRequests)) {
-            failures.fetch_add(1);
-          } else {
-            bodies[i] = response->body;
-          }
+        [i, &make, &responses, client = std::move(client)]() mutable {
+          auto response = client.Call(make(i));
+          ASSERT_TRUE(response.ok()) << response.status().ToString();
+          responses[i] = std::move(*response);
         });
   }
   for (std::thread& w : workers) w.join();
-  ASSERT_EQ(failures.load(), 0);
-  for (int i = 1; i < kRequests; ++i) EXPECT_EQ(bodies[i], bodies[0]);
+  return responses;
+}
 
-  AdmissionStats admission = server.admission_stats();
-  EXPECT_EQ(admission.batches_dispatched, 1u);
-  EXPECT_EQ(admission.batched_requests, static_cast<uint64_t>(kRequests));
-  EXPECT_EQ(admission.max_batch_size, static_cast<uint64_t>(kRequests));
+WireRequest UniversityContain(int i) {
+  WireRequest request;
+  request.type = RequestType::kContain;
+  request.tenant = "t" + std::to_string(i % 2);
+  request.program = kUniversityProgram;
+  request.query = "TeachersQ";
+  request.query2 = "FacultyQ";
+  return request;
+}
+
+TEST(ServerTest, ConcurrentSameProgramMissesCompileOnce) {
+  ExpectedBodies expected = ComputeExpected();
+  // Baseline: one cold containment on a fresh server.
+  OmqCacheStats cold;
+  uint64_t cold_queries = 0;
+  {
+    OmqServer baseline((ServerConfig()));
+    OmqClient client = MakeClient(baseline);
+    auto response = client.Call(UniversityContain(0));
+    ASSERT_TRUE(response.ok());
+    ASSERT_EQ(response->code, StatusCode::kOk) << response->message;
+    cold = baseline.cache()->Stats();
+    cold_queries = JsonCounter(response->stats_json, "queries_generated");
+    baseline.Shutdown();
+  }
+  ASSERT_GT(cold.counters.misses, 0u);
+  ASSERT_GT(cold_queries, 0u);
+
+  // Four concurrent identical requests on a fresh server: whichever
+  // misses first compiles each artifact, the rest wait for it or hit.
+  ServerConfig config;
+  config.worker_threads = 4;
+  OmqServer server(std::move(config));
+  constexpr int kRequests = 4;
+  std::vector<WireResponse> responses =
+      CallConcurrently(server, kRequests, UniversityContain);
+  uint64_t queries = 0;
+  for (const WireResponse& response : responses) {
+    EXPECT_EQ(response.code, StatusCode::kOk) << response.message;
+    EXPECT_EQ(response.body, expected.contain);
+    queries += JsonCounter(response.stats_json, "queries_generated");
+  }
 
   OmqCacheStats cache = server.cache()->Stats();
-  // The followers hit where serial one-shots would each compile cold.
-  EXPECT_GE(cache.counters.hits, 1u);
-  EXPECT_LT(cache.counters.misses, kRequests * cold_misses);
+  // No artifact was compiled twice: the same inserts, misses and
+  // rewriting work as one cold request, and every other lookup was served
+  // by the store (directly or after waiting on the compiling request).
+  EXPECT_EQ(cache.counters.insertions, cold.counters.insertions);
+  EXPECT_EQ(cache.counters.misses, cold.counters.misses);
+  EXPECT_EQ(queries, cold_queries);
+  EXPECT_EQ(cache.counters.hits + cache.counters.misses,
+            cache.counters.lookups);
 
-  // Hit/miss attribution reaches the tenants that rode the batch.
+  // Every request went straight to the pool: one dispatch per request.
   ASSERT_TRUE(WaitFor([&] {
     auto snapshot = server.TenantSnapshots();
     return snapshot.count("t0") != 0 && snapshot.count("t1") != 0 &&
-           snapshot.at("t0").counters.batched_requests +
-                   snapshot.at("t1").counters.batched_requests ==
+           snapshot.at("t0").counters.completed +
+                   snapshot.at("t1").counters.completed ==
                static_cast<uint64_t>(kRequests);
   }));
+  AdmissionStats admission = server.admission_stats();
+  EXPECT_EQ(admission.submitted, static_cast<uint64_t>(kRequests));
+  EXPECT_EQ(admission.batches_dispatched, static_cast<uint64_t>(kRequests));
   server.Shutdown();
 }
 
-// ---------- Chaos: dropped batches ----------
+// ---------- Chaos: faults in the compiling request ----------
 
-TEST(ServerTest, DroppedBatchCompletesRequestsAndLeaksNothing) {
-  ServerConfig config;
-  config.worker_threads = 2;
-  config.admission.max_batch = 2;
-  config.admission.linger_ms = 2000;
-  OmqServer server(std::move(config));
-
-  // Two clients first (ConnectInProcess starts the pipeline), then the
-  // injector: drop the first dispatched batch.
-  OmqClient client_a = MakeClient(server);
-  OmqClient client_b = MakeClient(server);
-  FaultPlan plan;
-  plan.drop_batch_at = 1;
-  FaultInjector injector(plan);
-  server.set_fault_injector(&injector);
-
-  std::vector<StatusCode> codes(2, StatusCode::kOk);
-  std::vector<std::string> messages(2);
-  {
-    std::vector<std::thread> workers;
-    OmqClient* clients[2] = {&client_a, &client_b};
-    for (int i = 0; i < 2; ++i) {
-      workers.emplace_back([i, &clients, &codes, &messages]() {
-        auto response = clients[i]->Contain(kUniversityProgram, "TeachersQ",
-                                            "FacultyQ", "chaos");
-        ASSERT_TRUE(response.ok());
-        codes[i] = response->code;
-        messages[i] = response->message;
-      });
-    }
-    for (std::thread& w : workers) w.join();
-  }
-  EXPECT_TRUE(injector.fired());
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(codes[i], StatusCode::kCancelled) << messages[i];
-    EXPECT_NE(messages[i].find("dropped"), std::string::npos);
-  }
-
-  // The queue stays serviceable: the next batch executes normally.
-  {
-    std::vector<std::thread> workers;
-    std::atomic<int> ok{0};
-    OmqClient* clients[2] = {&client_a, &client_b};
-    for (int i = 0; i < 2; ++i) {
-      workers.emplace_back([i, &clients, &ok]() {
-        auto response = clients[i]->Contain(kUniversityProgram, "TeachersQ",
-                                            "FacultyQ", "chaos");
-        if (response.ok() && response->code == StatusCode::kOk) {
-          ok.fetch_add(1);
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    EXPECT_EQ(ok.load(), 2);
-  }
-
-  AdmissionStats admission = server.admission_stats();
-  EXPECT_EQ(admission.batches_dropped, 1u);
-  EXPECT_EQ(admission.dropped_requests, 2u);
-  EXPECT_EQ(admission.current_depth, 0u);
-
-  // No governor charge leaks: once the tenant drains, the server-wide
-  // accounting is back to zero.
+void ExpectSettled(OmqServer& server, const std::string& tenant) {
   ASSERT_TRUE(WaitFor([&] {
     auto snapshot = server.TenantSnapshots();
-    return snapshot.at("chaos").inflight == 0 &&
+    return snapshot.count(tenant) != 0 &&
+           snapshot.at(tenant).inflight == 0 &&
            server.governor()->local_charged_bytes() == 0;
   }));
-  auto snapshot = server.TenantSnapshots();
-  EXPECT_EQ(snapshot.at("chaos").counters.cancel_trips, 2u);
-  EXPECT_EQ(snapshot.at("chaos").charged_bytes, 0u);
-  server.set_fault_injector(nullptr);
+  EXPECT_EQ(server.TenantSnapshots().at(tenant).charged_bytes, 0u);
+}
+
+TEST(ServerTest, LeaderFaultsCompleteEveryRequest) {
+  // (1) The compiling request's first insert is dropped: it keeps its own
+  //     result, the store forgets it, and a waiter compiles again. Every
+  //     request still gets the certified verdict.
+  {
+    ExpectedBodies expected = ComputeExpected();
+    ServerConfig config;
+    config.worker_threads = 4;
+    OmqServer server(std::move(config));
+    server.Start();
+    FaultPlan plan;
+    plan.fail_insert_at = 1;
+    FaultInjector injector(plan);
+    server.set_fault_injector(&injector);
+    std::vector<WireResponse> responses =
+        CallConcurrently(server, 4, [](int) {
+          WireRequest request = UniversityContain(0);
+          request.tenant = "chaos";
+          return request;
+        });
+    EXPECT_TRUE(injector.fired());
+    for (const WireResponse& response : responses) {
+      EXPECT_EQ(response.code, StatusCode::kOk) << response.message;
+      EXPECT_EQ(response.body, expected.contain);
+    }
+    ExpectSettled(server, "chaos");
+    server.set_fault_injector(nullptr);
+    server.Shutdown();
+  }
+
+  // (2) The compiling request hits its deadline mid-compilation while
+  //     three requests without one arrive behind it: it answers with the
+  //     trip code, one of the others takes over the compilation, and all
+  //     three get the certified verdict.
+  std::string slow_program = SlowProgramText();
+  std::string certified;
+  {
+    auto program = ParseProgram(slow_program);
+    ASSERT_TRUE(program.ok());
+    Schema schema = InferProgramDataSchema(*program);
+    auto q = SingleQueryNamed(*program, schema, "Q");
+    ASSERT_TRUE(q.ok());
+    auto result = CheckContainment(*q, *q, ContainmentOptions());
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->outcome, ContainmentOutcome::kContained);
+    certified = FormatContainmentReport("Q", "Q", *result);
+  }
+  ServerConfig config;
+  config.worker_threads = 4;
+  OmqServer server(std::move(config));
+  auto slow_request = [&slow_program](uint64_t deadline_ms) {
+    WireRequest request;
+    request.type = RequestType::kContain;
+    request.tenant = "chaos";
+    request.deadline_ms = deadline_ms;
+    request.program = slow_program;
+    request.query = "Q";
+    request.query2 = "Q";
+    return request;
+  };
+  OmqClient leader_client = MakeClient(server);
+  Result<WireResponse> leader = Status::Internal("not run");
+  std::thread leader_thread(
+      [&] { leader = leader_client.Call(slow_request(150)); });
+  ASSERT_TRUE(WaitFor([&] {
+    auto snapshot = server.TenantSnapshots();
+    return snapshot.count("chaos") != 0 &&
+           snapshot.at("chaos").inflight == 1;
+  }));
+  std::vector<WireResponse> followers = CallConcurrently(
+      server, 3, [&slow_request](int) { return slow_request(0); });
+  leader_thread.join();
+  ASSERT_TRUE(leader.ok()) << leader.status().ToString();
+  EXPECT_EQ(leader->code, StatusCode::kDeadlineExceeded) << leader->message;
+  for (const WireResponse& response : followers) {
+    EXPECT_EQ(response.code, StatusCode::kOk) << response.message;
+    EXPECT_EQ(response.body, certified);
+  }
+  ExpectSettled(server, "chaos");
   server.Shutdown();
 }
 
