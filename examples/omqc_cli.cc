@@ -93,15 +93,14 @@ void PrintStats(const EngineFlags& flags, const EngineStats& stats) {
   }
 }
 
-int Classify(const Program& program) {
-  std::fputs(FormatClassificationReport(program.tgds).c_str(), stdout);
+int Classify(const CompiledProgram& program) {
+  std::fputs(program.classification.c_str(), stdout);
   return 0;
 }
 
-int Eval(const Program& program, const Schema& schema,
-         const std::string& name, const EngineFlags& flags,
-         ArtifactStore* cache) {
-  auto omq = SingleQueryNamed(program, schema, name);
+int Eval(const CompiledProgram& program, const std::string& name,
+         const EngineFlags& flags, ArtifactStore* cache) {
+  auto omq = program.Query(name);
   if (!omq.ok()) return Fail(omq.status().ToString());
   EngineStats stats;
   EvalOptions eval_options;
@@ -110,7 +109,7 @@ int Eval(const Program& program, const Schema& schema,
   ResourceGovernor governor;
   ApplyGovernorFlags(flags, &governor);
   eval_options.governor = &governor;
-  auto answers = EvalAll(*omq, program.facts, eval_options, &stats);
+  auto answers = EvalAll(*omq, program.program.facts, eval_options, &stats);
   if (!answers.ok()) {
     return GovernedExit(governor, Fail(answers.status().ToString()));
   }
@@ -119,10 +118,10 @@ int Eval(const Program& program, const Schema& schema,
   return GovernedExit(governor, 0);
 }
 
-int Rewrite(const Program& program, const Schema& schema,
-            const std::string& name) {
-  auto omq = SingleQueryNamed(program, schema, name);
+int Rewrite(const CompiledProgram& program, const std::string& name) {
+  auto omq = program.Query(name);
   if (!omq.ok()) return Fail(omq.status().ToString());
+  const Schema& schema = program.schema;
   XRewriteStats stats;
   auto rewriting = XRewrite(schema, omq->tgds, omq->query,
                             XRewriteOptions(), &stats);
@@ -134,11 +133,11 @@ int Rewrite(const Program& program, const Schema& schema,
   return 0;
 }
 
-int Contain(const Program& program, const Schema& schema,
-            const std::string& lhs, const std::string& rhs,
-            const EngineFlags& flags, ArtifactStore* cache) {
-  auto q1 = SingleQueryNamed(program, schema, lhs);
-  auto q2 = SingleQueryNamed(program, schema, rhs);
+int Contain(const CompiledProgram& program, const std::string& lhs,
+            const std::string& rhs, const EngineFlags& flags,
+            ArtifactStore* cache) {
+  auto q1 = program.Query(lhs);
+  auto q2 = program.Query(rhs);
   if (!q1.ok()) return Fail(q1.status().ToString());
   if (!q2.ok()) return Fail(q2.status().ToString());
   ContainmentOptions options;
@@ -157,22 +156,20 @@ int Contain(const Program& program, const Schema& schema,
   return GovernedExit(governor, 0);
 }
 
-int Explain(const Program& program, const Schema& schema,
-            const std::string& name,
+int Explain(const CompiledProgram& program, const std::string& name,
             const std::vector<std::string>& constants) {
-  auto omq = SingleQueryNamed(program, schema, name);
+  auto omq = program.Query(name);
   if (!omq.ok()) return Fail(omq.status().ToString());
   std::vector<Term> tuple;
   for (const std::string& c : constants) tuple.push_back(Term::Constant(c));
-  auto why = ExplainTuple(*omq, program.facts, tuple);
+  auto why = ExplainTuple(*omq, program.program.facts, tuple);
   if (!why.ok()) return Fail(why.status().ToString());
-  std::printf("%s", why->ToString(program.tgds).c_str());
+  std::printf("%s", why->ToString(program.program.tgds).c_str());
   return 0;
 }
 
-int Distribute(const Program& program, const Schema& schema,
-               const std::string& name) {
-  auto omq = SingleQueryNamed(program, schema, name);
+int Distribute(const CompiledProgram& program, const std::string& name) {
+  auto omq = program.Query(name);
   if (!omq.ok()) return Fail(omq.status().ToString());
   auto result = DistributesOverComponents(*omq);
   if (!result.ok()) return Fail(result.status().ToString());
@@ -210,9 +207,9 @@ int main(int argc, char** argv) {
                  argv[0], EngineFlagsUsage());
     return 2;
   }
-  auto program = LoadProgramFile(args[1]);
-  if (!program.ok()) return Fail(program.status().ToString());
-  Schema schema = InferProgramDataSchema(*program);
+  auto compiled = CompileProgramFile(args[1]);
+  if (!compiled.ok()) return Fail(compiled.status().ToString());
+  const CompiledProgram& program = **compiled;
   auto cache_or = MakeCacheFromFlags(flags);
   if (!cache_or.ok()) return Fail(cache_or.status().ToString());
   std::unique_ptr<ArtifactStore> cache = std::move(cache_or).value();
@@ -226,21 +223,21 @@ int main(int argc, char** argv) {
   } flush_on_exit{cache.get()};
 
   const std::string& command = args[0];
-  if (command == "classify") return Classify(*program);
+  if (command == "classify") return Classify(program);
   if (command == "eval" && args.size() >= 3) {
-    return Eval(*program, schema, args[2], flags, cache.get());
+    return Eval(program, args[2], flags, cache.get());
   }
   if (command == "rewrite" && args.size() >= 3) {
-    return Rewrite(*program, schema, args[2]);
+    return Rewrite(program, args[2]);
   }
   if (command == "contain" && args.size() >= 4) {
-    return Contain(*program, schema, args[2], args[3], flags, cache.get());
+    return Contain(program, args[2], args[3], flags, cache.get());
   }
   if (command == "distribute" && args.size() >= 3) {
-    return Distribute(*program, schema, args[2]);
+    return Distribute(program, args[2]);
   }
   if (command == "explain" && args.size() >= 3) {
-    return Explain(*program, schema, args[2],
+    return Explain(program, args[2],
                    std::vector<std::string>(args.begin() + 3, args.end()));
   }
   std::fprintf(stderr, "unknown or incomplete command '%s'\n",

@@ -7,7 +7,9 @@
 // classify requests with per-request deadlines and memory budgets,
 // per-tenant governor quotas (src/server/tenant.h) and a STATS metrics
 // endpoint. Concurrent requests needing the same compilation share it
-// through the single-flight artifact store (src/cache/artifact_store.h).
+// through the single-flight artifact store (src/cache/artifact_store.h),
+// and each distinct program text is compiled once into a cached
+// CompiledProgram (src/core/frontend.h).
 //
 // Daemon flags:
 //   --port=N               listen port (default 0 = kernel-assigned;
@@ -27,9 +29,10 @@
 //
 // Shared engine flags (src/core/frontend.h): --threads=N sizes the worker
 // pool (0 = hardware concurrency), --cache-capacity / --cache=on|off shape
-// the shared compilation cache, --cache-dir=PATH warm-starts the cache
-// from a persistent artifact store at boot and flushes new compilations
-// back on drain (an unusable directory degrades to memory-only),
+// the shared compilation cache and the program cache, --cache-dir=PATH
+// warm-starts the cache from a persistent artifact store at boot and
+// flushes new compilations back on drain (an unusable directory degrades
+// to memory-only),
 // --deadline-ms / --max-memory-mb set the server-wide request default
 // deadline and total memory budget, --chase picks the chase strategy.
 // --stats-json prints the final metrics document on shutdown.

@@ -13,37 +13,6 @@ uint64_t DigestCombine(uint64_t h, uint64_t v) {
          0x00000100000001b3ULL;
 }
 
-TgdProfile ComputeProfile(const TgdSet& tgds) {
-  TgdProfile p;
-  if (tgds.empty()) {
-    p.primary = TgdClass::kEmpty;
-    p.full = true;
-    p.non_recursive = true;
-    return p;
-  }
-  p.linear = IsLinear(tgds);
-  p.guarded = IsGuarded(tgds);
-  p.full = IsFull(tgds);
-  p.non_recursive = IsNonRecursive(tgds);
-  p.sticky = IsSticky(tgds);
-  // Same preference order as PrimaryClass (UCQ-rewritable and cheaper
-  // first): L > NR > S > G > F.
-  if (p.linear) {
-    p.primary = TgdClass::kLinear;
-  } else if (p.non_recursive) {
-    p.primary = TgdClass::kNonRecursive;
-  } else if (p.sticky) {
-    p.primary = TgdClass::kSticky;
-  } else if (p.guarded) {
-    p.primary = TgdClass::kGuarded;
-  } else if (p.full) {
-    p.primary = TgdClass::kFull;
-  } else {
-    p.primary = TgdClass::kGeneral;
-  }
-  return p;
-}
-
 size_t ApproxBytes(const ConjunctiveQuery& q) {
   size_t bytes = sizeof(ConjunctiveQuery);
   bytes += q.answer_vars.size() * sizeof(Term);
@@ -55,17 +24,63 @@ size_t ApproxBytes(const ConjunctiveQuery& q) {
 
 }  // namespace
 
-TgdProfile GetTgdProfile(ArtifactStore* cache, const TgdSet& tgds,
+TgdProfile TgdProfileOf(const ClassificationReport& report) {
+  TgdProfile p;
+  p.primary = PrimaryClassOf(report);
+  if (report.empty) {
+    p.full = true;
+    p.non_recursive = true;
+    return p;
+  }
+  p.linear = report.linear;
+  p.guarded = report.guarded;
+  p.full = report.full;
+  p.non_recursive = report.non_recursive;
+  p.sticky = report.sticky;
+  return p;
+}
+
+CompiledTgds::CompiledTgds(const TgdSet& tgds)
+    : CompiledTgds(tgds, FingerprintTgdSet(tgds), std::nullopt) {}
+
+CompiledTgds ResolveTgds(const TgdSet& tgds, const CompiledTgds* carried) {
+  if (carried != nullptr &&
+      (carried->tgds == &tgds || carried->tgds->tgds == tgds.tgds)) {
+    return CompiledTgds(tgds, carried->fingerprint, carried->profile);
+  }
+  return CompiledTgds(tgds);
+}
+
+std::shared_ptr<const CompiledTgds> KeepCompiledTgds(
+    const CompiledTgds& sigma, const TgdProfile& profile) {
+  // One allocation holds the copied tgd set and the view onto it; the
+  // returned pointer aliases the view and keeps both alive.
+  struct Kept {
+    Kept(const CompiledTgds& sigma, const TgdProfile& profile)
+        : tgds(*sigma.tgds), view(tgds, sigma.fingerprint, profile) {}
+    Kept(const Kept&) = delete;
+    Kept& operator=(const Kept&) = delete;
+    TgdSet tgds;
+    CompiledTgds view;
+  };
+  auto kept = std::make_shared<const Kept>(sigma, profile);
+  return std::shared_ptr<const CompiledTgds>(kept, &kept->view);
+}
+
+TgdProfile GetTgdProfile(ArtifactStore* cache, const CompiledTgds& sigma,
                          CacheCounters* counters) {
-  if (cache == nullptr) return ComputeProfile(tgds);
-  Fingerprint tgd_tag = FingerprintTgdSet(tgds);
-  CacheKey key{tgd_tag, 0, ArtifactKind::kClassification};
+  if (sigma.profile.has_value()) return *sigma.profile;
+  auto classify = [&] {
+    return TgdProfileOf(ClassifyForDispatch(*sigma.tgds));
+  };
+  if (cache == nullptr) return classify();
+  CacheKey key{sigma.fingerprint, 0, ArtifactKind::kClassification};
   // Ungoverned: classification never fails, so neither can this.
   return **cache->GetOrCompile<TgdProfile>(
       key, counters, /*governor=*/nullptr, [&] {
-        auto profile =
-            std::make_shared<const TgdProfile>(ComputeProfile(tgds));
-        cache->Put(key, profile, sizeof(TgdProfile), counters, tgd_tag);
+        auto profile = std::make_shared<const TgdProfile>(classify());
+        cache->Put(key, profile, sizeof(TgdProfile), counters,
+                   sigma.fingerprint);
         return profile;
       });
 }
@@ -84,17 +99,18 @@ uint64_t XRewriteOptionsDigest(const XRewriteOptions& options) {
   return h;
 }
 
-CacheKey RewritingCacheKey(const Schema& data_schema, const TgdSet& tgds,
+CacheKey RewritingCacheKey(const Schema& data_schema,
+                           const CompiledTgds& sigma,
                            const ConjunctiveQuery& q,
                            const XRewriteOptions& options) {
-  return CacheKey{FingerprintOmqParts(data_schema, tgds, q),
+  return CacheKey{CombineOmqFingerprint(data_schema, sigma.fingerprint, q),
                   XRewriteOptionsDigest(options), ArtifactKind::kRewriting};
 }
 
-CacheKey ChaseCacheKey(const Database& db, const TgdSet& tgds,
+CacheKey ChaseCacheKey(const Database& db, const CompiledTgds& sigma,
                        uint64_t chase_options_digest) {
   Fingerprint d = FingerprintDatabase(db);
-  Fingerprint t = FingerprintTgdSet(tgds);
+  const Fingerprint& t = sigma.fingerprint;
   // Pairwise-combine the two 128-bit fingerprints (order-sensitive: the
   // database and ontology roles are distinct).
   Fingerprint fp;
@@ -110,15 +126,16 @@ size_t ApproxBytes(const UnionOfCQs& ucq) {
 }
 
 Result<std::shared_ptr<const UnionOfCQs>> CachedXRewrite(
-    ArtifactStore* cache, const Schema& data_schema, const TgdSet& tgds,
+    ArtifactStore* cache, const Schema& data_schema, const CompiledTgds& sigma,
     const ConjunctiveQuery& q, const XRewriteOptions& options,
     XRewriteStats* stats, CacheCounters* counters) {
   if (cache == nullptr) {
-    OMQC_ASSIGN_OR_RETURN(UnionOfCQs rewriting,
-                          XRewrite(data_schema, tgds, q, options, stats));
+    OMQC_ASSIGN_OR_RETURN(
+        UnionOfCQs rewriting,
+        XRewrite(data_schema, *sigma.tgds, q, options, stats));
     return std::make_shared<const UnionOfCQs>(std::move(rewriting));
   }
-  CacheKey key = RewritingCacheKey(data_schema, tgds, q, options);
+  CacheKey key = RewritingCacheKey(data_schema, sigma, q, options);
   // On a hit no rewriting work was performed, so `stats` stays untouched
   // (the hit itself shows up in `counters`).
   OMQC_ASSIGN_OR_RETURN(
@@ -127,13 +144,13 @@ Result<std::shared_ptr<const UnionOfCQs>> CachedXRewrite(
           key, counters, options.governor,
           [&]() -> Result<std::shared_ptr<const CachedRewriting>> {
             auto computed = std::make_shared<CachedRewriting>();
-            OMQC_ASSIGN_OR_RETURN(computed->ucq,
-                                  XRewrite(data_schema, tgds, q, options,
-                                           &computed->compute_stats));
+            OMQC_ASSIGN_OR_RETURN(
+                computed->ucq, XRewrite(data_schema, *sigma.tgds, q, options,
+                                        &computed->compute_stats));
             if (stats != nullptr) stats->Merge(computed->compute_stats);
             cache->Put<CachedRewriting>(key, computed,
                                         ApproxBytes(computed->ucq), counters,
-                                        FingerprintTgdSet(tgds));
+                                        sigma.fingerprint);
             return std::shared_ptr<const CachedRewriting>(
                 std::move(computed));
           }));
@@ -142,15 +159,15 @@ Result<std::shared_ptr<const UnionOfCQs>> CachedXRewrite(
 }
 
 Result<RewriteEnumeration> CachedEnumerateRewritings(
-    ArtifactStore* cache, const Schema& data_schema, const TgdSet& tgds,
+    ArtifactStore* cache, const Schema& data_schema, const CompiledTgds& sigma,
     const ConjunctiveQuery& q, const XRewriteOptions& options,
     const std::function<bool(const ConjunctiveQuery&)>& on_disjunct,
     XRewriteStats* stats, CacheCounters* counters) {
   if (cache == nullptr) {
-    return EnumerateRewritings(data_schema, tgds, q, options, on_disjunct,
-                               stats);
+    return EnumerateRewritings(data_schema, *sigma.tgds, q, options,
+                               on_disjunct, stats);
   }
-  CacheKey key = RewritingCacheKey(data_schema, tgds, q, options);
+  CacheKey key = RewritingCacheKey(data_schema, sigma, q, options);
   // The caller that compiles streams its disjuncts live; everyone else
   // replays the stored list.
   bool streamed = false;
@@ -168,15 +185,15 @@ Result<RewriteEnumeration> CachedEnumerateRewritings(
             };
             OMQC_ASSIGN_OR_RETURN(
                 outcome,
-                EnumerateRewritings(data_schema, tgds, q, options, wrapped,
-                                    &collected->compute_stats));
+                EnumerateRewritings(data_schema, *sigma.tgds, q, options,
+                                    wrapped, &collected->compute_stats));
             if (stats != nullptr) stats->Merge(collected->compute_stats);
             if (outcome != RewriteEnumeration::kSaturated) {
               return std::shared_ptr<const CachedRewriting>();
             }
             cache->Put<CachedRewriting>(key, collected,
                                         ApproxBytes(collected->ucq),
-                                        counters, FingerprintTgdSet(tgds));
+                                        counters, sigma.fingerprint);
             return std::shared_ptr<const CachedRewriting>(
                 std::move(collected));
           });

@@ -432,10 +432,16 @@ Fingerprint FingerprintSchema(const Schema& schema) {
 
 Fingerprint FingerprintOmqParts(const Schema& data_schema, const TgdSet& tgds,
                                 const ConjunctiveQuery& q) {
+  return CombineOmqFingerprint(data_schema, FingerprintTgdSet(tgds), q);
+}
+
+Fingerprint CombineOmqFingerprint(const Schema& data_schema,
+                                  const Fingerprint& tgd_set,
+                                  const ConjunctiveQuery& q) {
   Fingerprint s = FingerprintSchema(data_schema);
-  Fingerprint t = FingerprintTgdSet(tgds);
   Fingerprint c = FingerprintCQ(q);
-  return HashTokens(kTagOmq, {s.hi, s.lo, t.hi, t.lo, c.hi, c.lo});
+  return HashTokens(kTagOmq,
+                    {s.hi, s.lo, tgd_set.hi, tgd_set.lo, c.hi, c.lo});
 }
 
 Fingerprint FingerprintUcqOmqParts(const Schema& data_schema,

@@ -89,6 +89,13 @@ Fingerprint FingerprintSchema(const Schema& schema);
 Fingerprint FingerprintOmqParts(const Schema& data_schema, const TgdSet& tgds,
                                 const ConjunctiveQuery& q);
 
+/// FingerprintOmqParts with Σ already fingerprinted (`tgd_set` is
+/// FingerprintTgdSet(Σ)), for callers that canonicalize Σ once and key
+/// several artifacts on it.
+Fingerprint CombineOmqFingerprint(const Schema& data_schema,
+                                  const Fingerprint& tgd_set,
+                                  const ConjunctiveQuery& q);
+
 /// Like FingerprintOmqParts with a UCQ query (order-insensitive in the
 /// disjuncts).
 Fingerprint FingerprintUcqOmqParts(const Schema& data_schema,

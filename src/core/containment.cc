@@ -50,23 +50,24 @@ using ContainsFn = std::function<Result<bool>(
 /// any number of workers.
 class RhsEvaluator {
  public:
-  /// Builds (or fetches from options.cache) the evaluator for `q2`. On a
-  /// fresh build the one-time setup work is merged into `stats->rewrite`;
-  /// on a hit only `stats->cache` is touched — the setup was paid by an
-  /// earlier call.
+  /// Builds (or fetches from options.cache) the evaluator for `q2`, whose
+  /// Σ the caller resolved as `sigma`. On a fresh build the one-time setup
+  /// work is merged into `stats->rewrite`; on a hit only `stats->cache` is
+  /// touched — the setup was paid by an earlier call.
   static Result<std::shared_ptr<const RhsEvaluator>> Make(
-      const Omq& q2, const ContainmentOptions& options,
-      EngineStats* stats = nullptr) {
+      const Omq& q2, const CompiledTgds& sigma,
+      const ContainmentOptions& options, EngineStats* stats = nullptr) {
     ArtifactStore* cache = options.cache;
     CacheCounters* counters = stats != nullptr ? &stats->cache : nullptr;
-    if (cache == nullptr) return Build(q2, options, stats);
-    CacheKey key{FingerprintOmqParts(q2.data_schema, q2.tgds, q2.query),
-                 EvalOptionsDigest(options.eval), ArtifactKind::kRhsEvaluator};
+    if (cache == nullptr) return Build(q2, sigma, options, stats);
+    CacheKey key{
+        CombineOmqFingerprint(q2.data_schema, sigma.fingerprint, q2.query),
+        EvalOptionsDigest(options.eval), ArtifactKind::kRhsEvaluator};
     return cache->GetOrCompile<RhsEvaluator>(
         key, counters, options.governor,
         [&]() -> Result<std::shared_ptr<const RhsEvaluator>> {
           OMQC_ASSIGN_OR_RETURN(std::shared_ptr<const RhsEvaluator> evaluator,
-                                Build(q2, options, stats));
+                                Build(q2, sigma, options, stats));
           size_t bytes = sizeof(RhsEvaluator);
           if (evaluator->rewriting_ != nullptr) {
             bytes += ApproxBytes(*evaluator->rewriting_);
@@ -130,11 +131,15 @@ class RhsEvaluator {
 
   /// The uncached build behind Make.
   static Result<std::shared_ptr<const RhsEvaluator>> Build(
-      const Omq& q2, const ContainmentOptions& options, EngineStats* stats) {
+      const Omq& q2, const CompiledTgds& sigma,
+      const ContainmentOptions& options, EngineStats* stats) {
     CacheCounters* counters = stats != nullptr ? &stats->cache : nullptr;
     std::shared_ptr<RhsEvaluator> evaluator(
         new RhsEvaluator(q2, options.eval));
-    TgdProfile profile = GetTgdProfile(options.cache, q2.tgds, counters);
+    TgdProfile profile = GetTgdProfile(options.cache, sigma, counters);
+    // Per-candidate EvalTuple calls reuse this resolved Σ instead of
+    // fingerprinting and classifying it once per candidate.
+    evaluator->q2_.compiled_tgds = KeepCompiledTgds(sigma, profile);
     // Precompute the RHS rewriting only when the chase does not terminate
     // (for terminating sets, per-candidate chasing is cheaper than a
     // potentially large rewriting). The setup runs under the REQUEST
@@ -148,7 +153,7 @@ class RhsEvaluator {
       setup_rewrite.governor = options.governor;
       OMQC_ASSIGN_OR_RETURN(
           evaluator->rewriting_,
-          CachedXRewrite(options.cache, q2.data_schema, q2.tgds, q2.query,
+          CachedXRewrite(options.cache, q2.data_schema, sigma, q2.query,
                          setup_rewrite, &setup, counters));
       if (stats != nullptr) stats->rewrite.Merge(setup);
     }
@@ -183,7 +188,7 @@ class RhsEvaluator {
 /// cancelling the caller's request, which may have sibling runs left.
 /// Only a trip of the USER's governor degrades the outcome; a child-only
 /// cancellation is the engine's own early exit and stays invisible.
-Result<ContainmentResult> RunEngine(const Omq& q1,
+Result<ContainmentResult> RunEngine(const Omq& q1, const CompiledTgds& sigma1,
                                     const ContainmentOptions& options,
                                     const ContainsFn& contains) {
   ContainmentResult result;
@@ -267,7 +272,7 @@ Result<ContainmentResult> RunEngine(const Omq& q1,
   lhs_options.governor = &run_governor;
   OMQC_ASSIGN_OR_RETURN(
       RewriteEnumeration outcome,
-      CachedEnumerateRewritings(options.cache, q1.data_schema, q1.tgds,
+      CachedEnumerateRewritings(options.cache, q1.data_schema, sigma1,
                                 q1.query, lhs_options, on_disjunct,
                                 &lhs_stats, &lhs_cache));
   if (pool.has_value()) pool->Wait();
@@ -354,12 +359,18 @@ Result<ContainmentResult> CheckContainment(const Omq& q1, const Omq& q2,
                                            const ContainmentOptions& opts) {
   ContainmentOptions options = EffectiveOptions(opts);
   OMQC_RETURN_IF_ERROR(CheckCompatible(q1, q2));
+  // Each Σ is resolved once here (once in all when both sides share one,
+  // as two queries of one program do) and passed down.
+  CompiledTgds sigma2 = ResolveTgds(q2.tgds, q2.compiled_tgds.get());
+  CompiledTgds sigma1 = ResolveTgds(
+      q1.tgds,
+      q1.compiled_tgds != nullptr ? q1.compiled_tgds.get() : &sigma2);
   EngineStats setup_stats;
   OMQC_ASSIGN_OR_RETURN(std::shared_ptr<const RhsEvaluator> rhs,
-                        RhsEvaluator::Make(q2, options, &setup_stats));
+                        RhsEvaluator::Make(q2, sigma2, options, &setup_stats));
   OMQC_ASSIGN_OR_RETURN(
       ContainmentResult result,
-      RunEngine(q1, options,
+      RunEngine(q1, sigma1, options,
                 [&rhs](const Database& db, const std::vector<Term>& tuple,
                        EngineStats* stats, ResourceGovernor* governor) {
                   return rhs->Contains(db, tuple, stats, governor);
@@ -379,7 +390,7 @@ Result<ContainmentResult> CheckContainmentInUcq(
     }
   }
   return RunEngine(
-      q1, options,
+      q1, ResolveTgds(q1.tgds, q1.compiled_tgds.get()), options,
       [&ucq, &options](const Database& db, const std::vector<Term>& tuple,
                        EngineStats* stats,
                        ResourceGovernor* governor) -> Result<bool> {
@@ -425,11 +436,16 @@ Result<ContainmentResult> CheckUcqOmqContainment(
   // every candidate of every LHS disjunct.
   std::vector<std::shared_ptr<const RhsEvaluator>> rhs_evaluators;
   rhs_evaluators.reserve(q2.query.disjuncts.size());
+  // Each side's Σ is resolved once, after its first OMQ validates.
+  std::optional<CompiledTgds> sigma2;
+  std::optional<CompiledTgds> sigma1;
   for (const ConjunctiveQuery& d : q2.query.disjuncts) {
     Omq rhs_omq{q2.data_schema, q2.tgds, d};
     OMQC_RETURN_IF_ERROR(ValidateOmq(rhs_omq));
-    OMQC_ASSIGN_OR_RETURN(std::shared_ptr<const RhsEvaluator> evaluator,
-                          RhsEvaluator::Make(rhs_omq, options, &merged.stats));
+    if (!sigma2.has_value()) sigma2.emplace(q2.tgds);
+    OMQC_ASSIGN_OR_RETURN(
+        std::shared_ptr<const RhsEvaluator> evaluator,
+        RhsEvaluator::Make(rhs_omq, *sigma2, options, &merged.stats));
     rhs_evaluators.push_back(std::move(evaluator));
   }
   const auto contains = [&rhs_evaluators](
@@ -457,8 +473,11 @@ Result<ContainmentResult> CheckUcqOmqContainment(
     }
     Omq lhs{q1.data_schema, q1.tgds, disjunct};
     OMQC_RETURN_IF_ERROR(ValidateOmq(lhs));
+    if (!sigma1.has_value()) {
+      sigma1.emplace(ResolveTgds(q1.tgds, sigma2 ? &*sigma2 : nullptr));
+    }
     OMQC_ASSIGN_OR_RETURN(ContainmentResult partial,
-                          RunEngine(lhs, options, contains));
+                          RunEngine(lhs, *sigma1, options, contains));
     merged.candidates_checked += partial.candidates_checked;
     merged.max_witness_size =
         std::max(merged.max_witness_size, partial.max_witness_size);

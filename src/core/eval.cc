@@ -143,11 +143,13 @@ Result<bool> EvalTuple(const Omq& omq, const Database& database,
   hom_options.counters = stats != nullptr ? &stats->hom : nullptr;
   hom_options.governor = options.governor;
   CacheCounters* cache_counters = stats != nullptr ? &stats->cache : nullptr;
-  TgdProfile profile = GetTgdProfile(options.cache, omq.tgds, cache_counters);
+  // Σ is resolved once here and passed to every consult point below.
+  CompiledTgds sigma = ResolveTgds(omq.tgds, omq.compiled_tgds.get());
+  TgdProfile profile = GetTgdProfile(options.cache, sigma, cache_counters);
   if (ChoosePath(profile, options) == Path::kRewrite) {
     OMQC_ASSIGN_OR_RETURN(
         std::shared_ptr<const UnionOfCQs> rewriting,
-        CachedXRewrite(options.cache, omq.data_schema, omq.tgds, omq.query,
+        CachedXRewrite(options.cache, omq.data_schema, sigma, omq.query,
                        GovernedRewriteOptions(options),
                        stats != nullptr ? &stats->rewrite : nullptr,
                        cache_counters));
@@ -213,11 +215,13 @@ Result<std::vector<std::vector<Term>>> EvalAll(const Omq& omq,
   hom_options.counters = stats != nullptr ? &stats->hom : nullptr;
   hom_options.governor = options.governor;
   CacheCounters* cache_counters = stats != nullptr ? &stats->cache : nullptr;
-  TgdProfile profile = GetTgdProfile(options.cache, omq.tgds, cache_counters);
+  // Σ is resolved once here and passed to every consult point below.
+  CompiledTgds sigma = ResolveTgds(omq.tgds, omq.compiled_tgds.get());
+  TgdProfile profile = GetTgdProfile(options.cache, sigma, cache_counters);
   if (ChoosePath(profile, options) == Path::kRewrite) {
     OMQC_ASSIGN_OR_RETURN(
         std::shared_ptr<const UnionOfCQs> rewriting,
-        CachedXRewrite(options.cache, omq.data_schema, omq.tgds, omq.query,
+        CachedXRewrite(options.cache, omq.data_schema, sigma, omq.query,
                        GovernedRewriteOptions(options),
                        stats != nullptr ? &stats->rewrite : nullptr,
                        cache_counters));
@@ -255,7 +259,7 @@ Result<std::vector<std::vector<Term>>> EvalAll(const Omq& omq,
   if (options.cache == nullptr) {
     OMQC_ASSIGN_OR_RETURN(chase_entry, chase());
   } else {
-    CacheKey chase_key = ChaseCacheKey(database, omq.tgds,
+    CacheKey chase_key = ChaseCacheKey(database, sigma,
                                        ChaseOptionsDigestFor(chase_options));
     OMQC_ASSIGN_OR_RETURN(
         chase_entry,
@@ -266,7 +270,7 @@ Result<std::vector<std::vector<Term>>> EvalAll(const Omq& omq,
                                     chase());
               options.cache->Put<CachedChase>(
                   chase_key, entry, entry->instance.MemoryBytes(),
-                  cache_counters, FingerprintTgdSet(omq.tgds));
+                  cache_counters, sigma.fingerprint);
               return entry;
             }));
   }

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "base/string_util.h"
+#include "cache/cached_ops.h"
 #include "tgd/classify.h"
 
 namespace omqc {
@@ -152,12 +153,28 @@ void ApplyGovernorFlags(const EngineFlags& flags,
   }
 }
 
-Result<Program> LoadProgramFile(const std::string& path) {
+namespace {
+
+Result<std::string> ReadProgramText(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::NotFound(StrCat("cannot open ", path));
   std::ostringstream text;
   text << in.rdbuf();
-  return ParseProgram(text.str());
+  return text.str();
+}
+
+std::string ClassificationBody(const TgdSet& tgds,
+                               const ClassificationReport& report) {
+  return StrCat("tgds: ", tgds.size(), "\nclasses: ", report.ToString(),
+                "\nprimary class: ",
+                TgdClassToString(PrimaryClassOf(report)), "\n");
+}
+
+}  // namespace
+
+Result<Program> LoadProgramFile(const std::string& path) {
+  OMQC_ASSIGN_OR_RETURN(std::string text, ReadProgramText(path));
+  return ParseProgram(text);
 }
 
 Schema InferProgramDataSchema(const Program& program) {
@@ -218,10 +235,31 @@ std::string FormatContainmentReport(const std::string& lhs,
 }
 
 std::string FormatClassificationReport(const TgdSet& tgds) {
-  ClassificationReport report = Classify(tgds);
-  return StrCat("tgds: ", tgds.size(), "\nclasses: ", report.ToString(),
-                "\nprimary class: ", TgdClassToString(PrimaryClass(tgds)),
-                "\n");
+  return ClassificationBody(tgds, Classify(tgds));
+}
+
+Result<Omq> CompiledProgram::Query(const std::string& name) const {
+  OMQC_ASSIGN_OR_RETURN(Omq omq, SingleQueryNamed(program, schema, name));
+  omq.compiled_tgds = tgds;
+  return omq;
+}
+
+Result<std::shared_ptr<const CompiledProgram>> CompileProgram(
+    const std::string& text) {
+  auto compiled = std::make_shared<CompiledProgram>();
+  OMQC_ASSIGN_OR_RETURN(compiled->program, ParseProgram(text));
+  const TgdSet& sigma = compiled->program.tgds;
+  compiled->schema = InferProgramDataSchema(compiled->program);
+  ClassificationReport report = Classify(sigma);
+  compiled->tgds = KeepCompiledTgds(CompiledTgds(sigma), TgdProfileOf(report));
+  compiled->classification = ClassificationBody(sigma, report);
+  return std::shared_ptr<const CompiledProgram>(std::move(compiled));
+}
+
+Result<std::shared_ptr<const CompiledProgram>> CompileProgramFile(
+    const std::string& path) {
+  OMQC_ASSIGN_OR_RETURN(std::string text, ReadProgramText(path));
+  return CompileProgram(text);
 }
 
 }  // namespace omqc

@@ -1,6 +1,13 @@
 // Shared front-end plumbing for the omqc binaries (omqc_cli, omqc_server,
-// omqc_load): engine flag parsing, program loading, and verdict
+// omqc_load): engine flag parsing, program compilation, and verdict
 // formatting.
+//
+// A front end gets its program as a CompiledProgram: parsed once, its
+// data schema inferred once, Σ fingerprinted and classified once. Every
+// Omq taken from it carries that Σ handle (Omq::compiled_tgds), so the
+// engine entry points skip canonicalizing Σ again, and a classify request
+// is answered from the stored report body. The server keeps these
+// handles in a cache keyed by program text (server/server.h).
 //
 // The three binaries accept the same --cache=/--deadline-ms=/... engine
 // flags; parsing lives here once so they cannot drift. Numeric flag values
@@ -95,6 +102,29 @@ std::string FormatContainmentReport(const std::string& lhs,
 
 /// The classification block omqc_cli classify prints.
 std::string FormatClassificationReport(const TgdSet& tgds);
+
+/// A program compiled once. Immutable after CompileProgram returns, so one
+/// handle may serve any number of concurrent requests.
+struct CompiledProgram {
+  Program program;
+  Schema schema;  ///< InferProgramDataSchema(program)
+  /// Σ's fingerprint and profile; every Omq from Query() carries it.
+  std::shared_ptr<const CompiledTgds> tgds;
+  /// FormatClassificationReport(program.tgds), from the same Classify pass
+  /// as the profile.
+  std::string classification;
+
+  /// SingleQueryNamed(program, schema, name), carrying the Σ handle.
+  Result<Omq> Query(const std::string& name) const;
+};
+
+/// Parses `text` (ParseProgram's errors pass through) and compiles it.
+Result<std::shared_ptr<const CompiledProgram>> CompileProgram(
+    const std::string& text);
+
+/// Reads a DLGP program file and compiles it.
+Result<std::shared_ptr<const CompiledProgram>> CompileProgramFile(
+    const std::string& path);
 
 }  // namespace omqc
 

@@ -3,6 +3,7 @@
 #ifndef OMQC_CORE_OMQ_H_
 #define OMQC_CORE_OMQ_H_
 
+#include <memory>
 #include <string>
 
 #include "base/status.h"
@@ -12,12 +13,20 @@
 
 namespace omqc {
 
+struct CompiledTgds;  // cache/cached_ops.h
+
 /// An OMQ (S, Σ, q) with q a CQ. `data_schema` is the schema the query is
 /// evaluated over; Σ and q may use additional predicates.
 struct Omq {
   Schema data_schema;
   TgdSet tgds;
   ConjunctiveQuery query;
+  /// Σ already compiled (fingerprint and profile), when this OMQ came from
+  /// a CompiledProgram (core/frontend.h); null otherwise. A hint only: an
+  /// engine entry point uses it after checking it was compiled from
+  /// exactly `tgds`, and compiles `tgds` itself otherwise — so editing
+  /// `tgds` afterwards is safe.
+  std::shared_ptr<const CompiledTgds> compiled_tgds;
 
   Omq() = default;
   Omq(Schema s, TgdSet t, ConjunctiveQuery q)

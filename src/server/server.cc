@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <future>
+#include <list>
+#include <unordered_map>
 #include <utility>
 
 #include "base/string_util.h"
@@ -9,7 +12,6 @@
 #include "core/eval.h"
 #include "core/frontend.h"
 #include "core/stats_json.h"
-#include "tgd/parser.h"
 
 namespace omqc {
 
@@ -29,11 +31,85 @@ struct OmqServer::Connection {
 /// and its pool worker.
 struct OmqServer::PendingRequest {
   WireRequest request;
-  Program program;
-  Schema schema;
+  std::shared_ptr<const CompiledProgram> program;
   TenantLease lease;
   std::shared_ptr<Connection> conn;
   Clock::time_point queued_at;  ///< when Dispatch handed it to the pool
+};
+
+/// Bounded LRU from exact program text to its CompiledProgram, with single
+/// flight: the first miss on a text compiles it outside the lock and
+/// concurrent lookups of that text wait for the result. Keys are the full
+/// bytes, so a hit is an exact byte match, never just a hash match. A
+/// failed compile (parse error) is handed to its waiters and removed, so
+/// it is never cached.
+class OmqServer::ProgramCache {
+ public:
+  using Compiled = Result<std::shared_ptr<const CompiledProgram>>;
+
+  explicit ProgramCache(size_t capacity) : capacity_(capacity) {}
+
+  Compiled Get(const std::string& text) {
+    std::unique_lock<std::mutex> lock(mu_);
+    auto found = slots_.find(text);
+    if (found != slots_.end()) {
+      ++stats_.hits;
+      order_.splice(order_.begin(), order_, found->second.position);
+      std::shared_future<Compiled> compiled = found->second.compiled;
+      lock.unlock();
+      return compiled.get();
+    }
+    ++stats_.misses;
+    const uint64_t flight = ++flights_;
+    std::promise<Compiled> promise;
+    auto slot =
+        slots_.emplace(text, Slot{promise.get_future().share(), {}, flight})
+            .first;
+    order_.push_front(&slot->first);
+    slot->second.position = order_.begin();
+    while (slots_.size() > capacity_) {
+      auto victim = slots_.find(*order_.back());
+      order_.pop_back();
+      slots_.erase(victim);
+      ++stats_.evictions;
+    }
+    lock.unlock();
+
+    Compiled compiled = CompileProgram(text);
+    if (!compiled.ok()) {
+      lock.lock();
+      auto mine = slots_.find(text);
+      if (mine != slots_.end() && mine->second.flight == flight) {
+        order_.erase(mine->second.position);
+        slots_.erase(mine);
+      }
+      lock.unlock();
+    }
+    promise.set_value(compiled);
+    return compiled;
+  }
+
+  ProgramCacheStats Stats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    ProgramCacheStats stats = stats_;
+    stats.entries = slots_.size();
+    return stats;
+  }
+
+ private:
+  struct Slot {
+    std::shared_future<Compiled> compiled;
+    std::list<const std::string*>::iterator position;  ///< in order_
+    uint64_t flight;  ///< tells a failed leader its own slot from a newer one
+  };
+
+  const size_t capacity_;
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, Slot> slots_;
+  /// Keys of slots_, most recently used first (map nodes are stable).
+  std::list<const std::string*> order_;
+  uint64_t flights_ = 0;
+  ProgramCacheStats stats_;
 };
 
 OmqServer::OmqServer(ServerConfig config)
@@ -43,6 +119,7 @@ OmqServer::OmqServer(ServerConfig config)
     governor_.set_memory_budget(config_.server_memory_budget_bytes);
   }
   if (config_.cache_capacity > 0) {
+    programs_ = std::make_unique<ProgramCache>(config_.cache_capacity);
     OmqCacheConfig cache_config;
     cache_config.capacity = config_.cache_capacity;
     cache_config.num_shards = std::max<size_t>(1, config_.cache_shards);
@@ -212,9 +289,11 @@ void OmqServer::HandleRequest(const std::shared_ptr<Connection>& conn,
       break;
   }
 
-  // Parse on the session thread so malformed programs bounce immediately
-  // without consuming a pool slot or tenant accounting.
-  auto program = ParseProgram(request.program);
+  // Compile on the session thread (or find the program already compiled)
+  // so malformed programs bounce immediately without consuming a pool slot
+  // or tenant accounting.
+  auto program = programs_ != nullptr ? programs_->Get(request.program)
+                                      : CompileProgram(request.program);
   if (!program.ok()) {
     WireResponse response;
     response.request_id = request.request_id;
@@ -226,7 +305,6 @@ void OmqServer::HandleRequest(const std::shared_ptr<Connection>& conn,
 
   auto pending = std::make_shared<PendingRequest>();
   pending->program = std::move(*program);
-  pending->schema = InferProgramDataSchema(pending->program);
   pending->conn = conn;
   pending->request = std::move(request);
 
@@ -291,11 +369,11 @@ void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending) {
   response.request_id = request.request_id;
   response.admission_wait_us = wait_us;
 
+  const CompiledProgram& program = *pending->program;
   EngineStats stats;
   switch (request.type) {
     case RequestType::kEval: {
-      auto omq = SingleQueryNamed(pending->program, pending->schema,
-                                  request.query);
+      auto omq = program.Query(request.query);
       if (!omq.ok()) {
         response.code = omq.status().code();
         response.message = omq.status().message();
@@ -305,8 +383,7 @@ void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending) {
       options.chase_strategy = config_.chase;
       options.cache = cache_.get();
       options.governor = &req_gov;
-      auto answers =
-          EvalAll(*omq, pending->program.facts, options, &stats);
+      auto answers = EvalAll(*omq, program.program.facts, options, &stats);
       if (!answers.ok()) {
         response.code = answers.status().code();
         response.message = answers.status().message();
@@ -317,10 +394,8 @@ void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending) {
       break;
     }
     case RequestType::kContain: {
-      auto q1 = SingleQueryNamed(pending->program, pending->schema,
-                                 request.query);
-      auto q2 = SingleQueryNamed(pending->program, pending->schema,
-                                 request.query2);
+      auto q1 = program.Query(request.query);
+      auto q2 = program.Query(request.query2);
       if (!q1.ok() || !q2.ok()) {
         const Status& bad = q1.ok() ? q2.status() : q1.status();
         response.code = bad.code();
@@ -345,7 +420,7 @@ void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending) {
       break;
     }
     case RequestType::kClassify: {
-      response.body = FormatClassificationReport(pending->program.tgds);
+      response.body = program.classification;
       break;
     }
     default:
@@ -506,6 +581,10 @@ AdmissionStats OmqServer::admission_stats() const {
   return queue_stats_;
 }
 
+ProgramCacheStats OmqServer::program_cache_stats() const {
+  return programs_ != nullptr ? programs_->Stats() : ProgramCacheStats();
+}
+
 ServerCounters OmqServer::counters() const {
   std::lock_guard<std::mutex> lock(counters_mu_);
   return counters_;
@@ -542,6 +621,15 @@ std::string OmqServer::StatsJson() const {
 
   if (cache_ != nullptr) {
     AppendOmqCacheStatsJson(w, "cache", cache_->Stats());
+  }
+  if (programs_ != nullptr) {
+    ProgramCacheStats programs = programs_->Stats();
+    w.BeginObject("programs");
+    w.Field("entries", programs.entries);
+    w.Field("hits", programs.hits);
+    w.Field("misses", programs.misses);
+    w.Field("evictions", programs.evictions);
+    w.EndObject();
   }
   AppendGovernorCountersJson(w, "governor", governor_.counters());
   w.Field("governor_charged_bytes",

@@ -3,13 +3,24 @@
 // Request path (see DESIGN.md "Server pipeline"):
 //
 //   session thread ──► tenant admission ──► worker pool (FIFO)
-//   (read + parse)     (quota; may park)     (execute, respond)
+//   (read + compile)   (quota; may park)     (execute, respond)
 //
 // Each connection gets a session thread that reads frames, answers
-// ping/stats/shutdown inline, parses eval/contain/classify programs, and
-// admits the request to its tenant (tenant.h). An admitted request goes
-// straight to the shared ThreadPool; one over its tenant's concurrency
-// quota parks until a completion of that tenant releases it.
+// ping/stats/shutdown inline, resolves the eval/contain/classify program,
+// and admits the request to its tenant (tenant.h). An admitted request
+// goes straight to the shared ThreadPool; one over its tenant's
+// concurrency quota parks until a completion of that tenant releases it.
+//
+// Programs are compiled once per distinct text: the session thread looks
+// the request's exact program bytes up in a bounded LRU of
+// CompiledProgram handles (core/frontend.h) — parsed program, data
+// schema, Σ fingerprint and profile, classify body. A hit skips parsing,
+// Σ canonicalization and classification; a miss compiles and inserts (a
+// concurrent miss on the same text waits for that compile); a parse error
+// is answered and never cached. Workers read the shared handle as const,
+// and every Omq they take from it carries the compiled Σ, so the engine
+// entry points fingerprint nothing on a warm request. The LRU shares
+// ServerConfig::cache_capacity with the artifact store and is off with it.
 //
 // Sharing work between concurrent requests is the artifact store's job,
 // not the server's: every compilation step goes through
@@ -90,6 +101,15 @@ struct AdmissionStats {
   uint64_t wait_us_max = 0;
 };
 
+/// Program-cache tallies for the STATS `programs` block. A request that
+/// waited on a concurrent compile of the same text counts as a hit.
+struct ProgramCacheStats {
+  uint64_t entries = 0;    ///< programs held (at most cache_capacity)
+  uint64_t hits = 0;       ///< lookups served without compiling
+  uint64_t misses = 0;     ///< lookups that compiled (parse errors too)
+  uint64_t evictions = 0;  ///< least recently used programs dropped
+};
+
 /// Server-level tallies (beyond queue/cache/tenant counters).
 struct ServerCounters {
   uint64_t connections = 0;
@@ -137,7 +157,8 @@ class OmqServer {
   bool WaitForShutdownRequest(std::chrono::milliseconds timeout);
 
   /// The full metrics document served by kStats: server counters, pool
-  /// queue stats, cache stats, server governor, per-tenant sections.
+  /// queue stats, artifact and program cache stats, server governor,
+  /// per-tenant sections.
   std::string StatsJson() const;
 
   const ServerConfig& config() const { return config_; }
@@ -146,6 +167,8 @@ class OmqServer {
 
   /// Point-in-time pool-queue tallies.
   AdmissionStats admission_stats() const;
+  /// Point-in-time program-cache tallies (all zero when it is off).
+  ProgramCacheStats program_cache_stats() const;
   /// Point-in-time per-tenant view (tenant.h TenantSnapshot).
   std::map<std::string, TenantRegistry::TenantSnapshot> TenantSnapshots()
       const {
@@ -160,6 +183,7 @@ class OmqServer {
  private:
   struct Connection;
   struct PendingRequest;
+  class ProgramCache;
 
   void AcceptLoop();
   void SessionLoop(std::shared_ptr<Connection> conn);
@@ -190,6 +214,7 @@ class OmqServer {
   ServerConfig config_;
   ResourceGovernor governor_;  ///< server-wide root governor
   std::unique_ptr<ArtifactStore> cache_;
+  std::unique_ptr<ProgramCache> programs_;  ///< null when caching is off
   TenantRegistry tenants_;
   std::unique_ptr<ThreadPool> pool_;
 

@@ -431,29 +431,38 @@ std::string ClassificationReport::ToString() const {
   return JoinStrings(tags, ", ");
 }
 
-ClassificationReport Classify(const TgdSet& tgds) {
+ClassificationReport ClassifyForDispatch(const TgdSet& tgds) {
   ClassificationReport report;
   report.empty = tgds.empty();
   report.linear = IsLinear(tgds);
   report.guarded = IsGuarded(tgds);
-  report.frontier_guarded = IsFrontierGuarded(tgds);
   report.full = IsFull(tgds);
   report.non_recursive = IsNonRecursive(tgds);
   report.sticky = IsSticky(tgds);
+  return report;
+}
+
+ClassificationReport Classify(const TgdSet& tgds) {
+  ClassificationReport report = ClassifyForDispatch(tgds);
+  report.frontier_guarded = IsFrontierGuarded(tgds);
   report.weakly_guarded = IsWeaklyGuarded(tgds);
   report.weakly_acyclic = IsWeaklyAcyclic(tgds);
   report.weakly_sticky = IsWeaklySticky(tgds);
   return report;
 }
 
-TgdClass PrimaryClass(const TgdSet& tgds) {
-  if (tgds.empty()) return TgdClass::kEmpty;
-  if (IsLinear(tgds)) return TgdClass::kLinear;
-  if (IsNonRecursive(tgds)) return TgdClass::kNonRecursive;
-  if (IsSticky(tgds)) return TgdClass::kSticky;
-  if (IsGuarded(tgds)) return TgdClass::kGuarded;
-  if (IsFull(tgds)) return TgdClass::kFull;
+TgdClass PrimaryClassOf(const ClassificationReport& report) {
+  if (report.empty) return TgdClass::kEmpty;
+  if (report.linear) return TgdClass::kLinear;
+  if (report.non_recursive) return TgdClass::kNonRecursive;
+  if (report.sticky) return TgdClass::kSticky;
+  if (report.guarded) return TgdClass::kGuarded;
+  if (report.full) return TgdClass::kFull;
   return TgdClass::kGeneral;
+}
+
+TgdClass PrimaryClass(const TgdSet& tgds) {
+  return PrimaryClassOf(ClassifyForDispatch(tgds));
 }
 
 bool IsUcqRewritableClass(TgdClass c) {

@@ -102,9 +102,18 @@ struct ClassificationReport {
 };
 ClassificationReport Classify(const TgdSet& tgds);
 
-/// The most specific class from {kEmpty, kLinear, kGuarded, kNonRecursive,
-/// kSticky, kFull, kGeneral} for dispatching containment procedures, with
-/// preference order L > NR > S > G > F (UCQ-rewritable and cheaper first).
+/// Classify restricted to what dispatch reads (empty, L, G, F, NR, S); the
+/// frontier-guarded and weak-class diagnostics are left false. Enough for
+/// PrimaryClassOf, without paying for the diagnostics.
+ClassificationReport ClassifyForDispatch(const TgdSet& tgds);
+
+/// The most specific class of a classified Σ, from {kEmpty, kLinear,
+/// kGuarded, kNonRecursive, kSticky, kFull, kGeneral}, for dispatching
+/// containment procedures. The one place the preference order lives:
+/// L > NR > S > G > F (UCQ-rewritable and cheaper first).
+TgdClass PrimaryClassOf(const ClassificationReport& report);
+
+/// PrimaryClassOf(ClassifyForDispatch(tgds)).
 TgdClass PrimaryClass(const TgdSet& tgds);
 
 /// True iff the OMQ language (C, CQ) is UCQ-rewritable (Sec. 4): L, NR, S.
