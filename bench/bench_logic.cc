@@ -2,7 +2,9 @@
 //
 // Not a paper table; measures the atom-storage layer every engine sits on:
 // ingest (Add with dedup + index maintenance), membership probes, and the
-// index scans that back the homomorphism engine's candidate enumeration.
+// index scans that back the homomorphism engine's candidate enumeration,
+// plus the CQ containment test (freeze + one homomorphism search) that
+// MinimizeCQ, XRewrite's subsumption pruning and UCQ containment repeat.
 // These are the microbenches behind the columnar-arena refactor (DESIGN.md
 // "Atom storage layout"); EXPERIMENTS.md records before/after and the
 // bytes-per-atom figure.
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "logic/homomorphism.h"
 #include "logic/instance.h"
 #include "logic/postings_kernels.h"
 
@@ -295,6 +298,38 @@ void BM_PostingsIntersect(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_PostingsIntersect)->Arg(1)->Arg(64);
+
+/// The chain CQ Q(X0) :- R(X0,X1), ..., R(X<n-1>,X<n>) over `var` names.
+ConjunctiveQuery ChainCQ(int n, const std::string& var) {
+  Predicate r = Predicate::Get("R", 2);
+  ConjunctiveQuery q;
+  q.answer_vars.push_back(Term::Variable(var + "0"));
+  for (int i = 0; i < n; ++i) {
+    q.body.emplace_back(r, std::vector<Term>{
+                               Term::Variable(var + std::to_string(i)),
+                               Term::Variable(var + std::to_string(i + 1))});
+  }
+  return q;
+}
+
+/// One CQ containment test between two renamed copies of an n-atom chain:
+/// freeze the LHS (n+1 variables), then one homomorphism search. The
+/// guardrail on /8 keeps per-call string building or constant interning
+/// (one new name per frozen variable, EXPERIMENTS.md 'FRZ') from
+/// returning to the freeze.
+void BM_CQContainedIn(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  ConjunctiveQuery lhs = ChainCQ(n, "X");
+  ConjunctiveQuery rhs = ChainCQ(n, "Y");
+  bool contained = false;
+  for (auto _ : state) {
+    contained = CQContainedIn(lhs, rhs);
+    benchmark::DoNotOptimize(contained);
+  }
+  if (!contained) state.SkipWithError("chain copies must be contained");
+  state.counters["frozen_vars"] = static_cast<double>(n + 1);
+}
+BENCHMARK(BM_CQContainedIn)->Arg(8)->Arg(32);
 
 }  // namespace
 }  // namespace omqc

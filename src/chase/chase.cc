@@ -99,9 +99,10 @@ Result<ChaseResult> Chase(const Instance& database, const TgdSet& tgds,
   ResourceGovernor* governor = options.governor;
   bool truncated = false;
   bool budget_hit = false;
-  // Records a governor trip: truncate like a local budget and remember the
-  // trip status (first one wins) for ChaseResult::interrupt.
-  auto governor_trip = [&](const Status& st) {
+  // Records a governor trip (or null-id exhaustion): truncate like a local
+  // budget and remember the status (first one wins) for
+  // ChaseResult::interrupt.
+  auto interrupt_with = [&](const Status& st) {
     truncated = true;
     budget_hit = true;
     if (result.interrupt.ok()) result.interrupt = st;
@@ -120,7 +121,7 @@ Result<ChaseResult> Chase(const Instance& database, const TgdSet& tgds,
     size_t delta = now - charged_upto;
     charged_upto = now;
     Status st = governor->ChargeBytes(delta);
-    if (!st.ok()) governor_trip(st);
+    if (!st.ok()) interrupt_with(st);
   };
   // Reusable image buffer for trigger applications (no per-atom allocs).
   std::vector<Term> scratch;
@@ -132,7 +133,7 @@ Result<ChaseResult> Chase(const Instance& database, const TgdSet& tgds,
       if (governor != nullptr) {
         Status st = governor->Check();
         if (!st.ok()) {
-          governor_trip(st);
+          interrupt_with(st);
           break;
         }
       }
@@ -205,7 +206,7 @@ Result<ChaseResult> Chase(const Instance& database, const TgdSet& tgds,
             ++trigger_tick % kTriggerCheckStride == 0) {
           Status st = governor->Check();
           if (!st.ok()) {
-            governor_trip(st);
+            interrupt_with(st);
             break;
           }
         }
@@ -256,8 +257,19 @@ Result<ChaseResult> Chase(const Instance& database, const TgdSet& tgds,
         // Apply the trigger: fresh nulls for existential variables (the
         // premise ids were resolved above, before the binding is extended
         // in place — the trigger is dead after this iteration, no copy).
+        // A used-up null id space stops the run before any head atom of
+        // the trigger is added, like a tripped memory budget.
+        bool nulls_exhausted = false;
         for (const Term& z : tgd.ExistentialVariables()) {
-          trigger.Bind(z, Term::FreshNull());
+          Term null = Term::FreshNull();
+          if (!null.valid()) nulls_exhausted = true;
+          trigger.Bind(z, null);
+        }
+        if (nulls_exhausted) {
+          interrupt_with(Status::ResourceExhausted(
+              "labeled-null id space exhausted; cannot apply a trigger "
+              "with existential variables"));
+          break;
         }
         for (const Atom& h : tgd.head) {
           Instance::AddOutcome added = result.instance.AddView(

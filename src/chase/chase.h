@@ -118,8 +118,10 @@ struct ChaseResult {
   const Provenance* ProvenanceOf(const Atom& atom) const;
   /// OK unless the run was cut short by the request governor, in which
   /// case this holds the trip status (kDeadlineExceeded / kCancelled /
-  /// kResourceExhausted) and `complete` is false. The atoms present are
-  /// still sound consequences — a governor trip truncates, never corrupts.
+  /// kResourceExhausted) and `complete` is false, or by the process running
+  /// out of labeled-null ids (kResourceExhausted; see Term::FreshNull). The
+  /// atoms present are still sound consequences — an interrupt truncates,
+  /// never corrupts.
   Status interrupt;
 };
 

@@ -1,7 +1,6 @@
 #include "logic/cq.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <map>
 #include <unordered_map>
@@ -151,15 +150,30 @@ std::string ConjunctiveQuery::ToString() const {
                            [](const Atom& a) { return a.ToString(); }));
 }
 
-FrozenQuery Freeze(const ConjunctiveQuery& q, const std::string& tag) {
-  // Atomic: worker threads of the parallel containment engine freeze
-  // candidate disjuncts concurrently.
-  static std::atomic<int64_t> freeze_counter{0};
-  int64_t stamp = freeze_counter.fetch_add(1, std::memory_order_relaxed);
+namespace {
+
+/// This thread's prefix of the frozen-constant pool, grown to at least `n`
+/// members. Thread-local, so the parallel containment engine's workers
+/// read it without synchronization; every thread interns the same names,
+/// so member i is the same Term on every thread.
+const std::vector<Term>& FrozenPool(size_t n) {
+  thread_local std::vector<Term> pool;
+  while (pool.size() < n) {
+    pool.push_back(Term::Constant(StrCat("@f'", pool.size())));
+  }
+  return pool;
+}
+
+}  // namespace
+
+Term FrozenConstant(size_t i) { return FrozenPool(i + 1)[i]; }
+
+FrozenQuery Freeze(const ConjunctiveQuery& q) {
+  const std::vector<Term> vars = q.Variables();
+  const std::vector<Term>& pool = FrozenPool(vars.size());
   FrozenQuery out;
-  for (const Term& v : q.Variables()) {
-    out.freezing.Bind(
-        v, Term::Constant(StrCat("@f", stamp, tag, "_", v.ToString())));
+  for (size_t i = 0; i < vars.size(); ++i) {
+    out.freezing.Bind(vars[i], pool[i]);
   }
   for (const Atom& a : q.body) out.database.Add(out.freezing.Apply(a));
   out.answer_tuple = out.freezing.Apply(q.answer_vars);

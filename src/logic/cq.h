@@ -71,7 +71,7 @@ struct ConjunctiveQuery {
 };
 
 /// The frozen (canonical) database of a CQ: every variable is replaced by a
-/// distinct fresh constant. Used by the small-witness containment algorithm
+/// distinct frozen constant. Used by the small-witness containment algorithm
 /// (proof of Prop. 10) and by chase-based CQ containment.
 struct FrozenQuery {
   Database database;
@@ -81,9 +81,22 @@ struct FrozenQuery {
   Substitution freezing;
 };
 
-/// Freezes `q`, mapping each variable to a fresh constant "@f<k>_<name>".
-/// `tag` disambiguates freezings in the same process.
-FrozenQuery Freeze(const ConjunctiveQuery& q, const std::string& tag = "");
+/// The i-th member of the process-wide pool of frozen constants, named
+/// "@f'<i>". The pool only grows when a query has more variables than any
+/// earlier one frozen on this thread; afterwards a lookup builds no string
+/// and takes no lock.
+Term FrozenConstant(size_t i);
+
+/// Freezes `q`: the i-th variable of q.Variables() becomes
+/// FrozenConstant(i). Frozen constants are distinct within one frozen
+/// database and are REUSED by every later freeze, so two frozen databases
+/// share constants and must not be merged. Non-collision rule: no parsed
+/// constant can spell a pool name (the lexer admits no `'` inside an
+/// identifier or a quoted constant), so a frozen constant never equals a
+/// constant of a program's queries, facts or rules. A query that itself
+/// mentions a frozen constant (one built from an unprettified frozen
+/// database) must not be frozen; PrettifiedCopy renames them away.
+FrozenQuery Freeze(const ConjunctiveQuery& q);
 
 /// A union of conjunctive queries q1(x̄) ∨ ... ∨ qn(x̄).
 struct UnionOfCQs {

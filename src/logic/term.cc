@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <unordered_map>
 
@@ -18,6 +19,11 @@ struct Interner {
   std::mutex mu;
   std::unordered_map<std::string, int32_t> by_name;
   std::deque<std::string> names;
+
+  size_t Size() {
+    std::lock_guard<std::mutex> lock(mu);
+    return names.size();
+  }
 
   int32_t Intern(const std::string& name) {
     std::lock_guard<std::mutex> lock(mu);
@@ -45,8 +51,10 @@ Interner& VariableInterner() {
   return *interner;
 }
 
-std::atomic<int32_t>& NullCounter() {
-  static std::atomic<int32_t>* counter = new std::atomic<int32_t>(0);
+/// 64 bits wide although null ids are int32: draws past INT32_MAX keep
+/// counting instead of wrapping, and are reported as exhaustion.
+std::atomic<int64_t>& NullCounter() {
+  static std::atomic<int64_t>* counter = new std::atomic<int64_t>(0);
   return *counter;
 }
 
@@ -61,20 +69,25 @@ Term Term::Variable(const std::string& name) {
 }
 
 Term Term::FreshNull() {
-  return Term(TermKind::kNull,
-              NullCounter().fetch_add(1, std::memory_order_relaxed));
+  int64_t id = NullCounter().fetch_add(1, std::memory_order_relaxed);
+  if (id > std::numeric_limits<int32_t>::max()) {
+    return Term(TermKind::kNull, -1);  // id space used up: invalid
+  }
+  return Term(TermKind::kNull, static_cast<int32_t>(id));
 }
 
 Term Term::NullWithId(int32_t id) { return Term(TermKind::kNull, id); }
 
 void Term::ReserveNullIds(int32_t bound) {
-  std::atomic<int32_t>& counter = NullCounter();
-  int32_t current = counter.load(std::memory_order_relaxed);
+  std::atomic<int64_t>& counter = NullCounter();
+  int64_t current = counter.load(std::memory_order_relaxed);
   while (current < bound &&
          !counter.compare_exchange_weak(current, bound,
                                         std::memory_order_relaxed)) {
   }
 }
+
+size_t Term::InternedConstantCount() { return ConstantInterner().Size(); }
 
 std::string Term::ToString() const {
   switch (kind_) {

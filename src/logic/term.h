@@ -3,7 +3,9 @@
 // Terms are small value types backed by a process-wide interning table, so
 // equality and hashing are O(1) integer operations. The interning tables
 // and the fresh-null counter are synchronized: the parallel containment
-// engine (src/core/containment.cc) interns terms from worker threads.
+// engine (src/core/containment.cc) interns terms from worker threads. The
+// tables never free a name, so nothing may intern a new name per request:
+// query freezing draws from a bounded pool (logic/cq.h, FrozenConstant).
 
 #ifndef OMQC_LOGIC_TERM_H_
 #define OMQC_LOGIC_TERM_H_
@@ -32,7 +34,11 @@ class Term {
   static Term Constant(const std::string& name);
   /// Interns (or looks up) the variable named `name`.
   static Term Variable(const std::string& name);
-  /// Creates a fresh labeled null, distinct from all existing nulls.
+  /// Creates a fresh labeled null, distinct from all existing nulls. Null
+  /// ids are drawn from a process-wide counter that is never recycled; once
+  /// the int32 id space is used up this returns an invalid null
+  /// (`valid()` is false) instead of wrapping to a reused or negative id.
+  /// The chase (the only minting site) stops with ResourceExhausted then.
   static Term FreshNull();
   /// Returns the null with the given id (for deterministic test setups and
   /// arena snapshot restore).
@@ -41,6 +47,9 @@ class Term {
   /// from a snapshot (whose ids were allocated by another process) can
   /// never collide with nulls this process creates afterwards.
   static void ReserveNullIds(int32_t bound);
+  /// Number of constant names interned so far (the constant table never
+  /// frees a name, so this only grows).
+  static size_t InternedConstantCount();
 
   TermKind kind() const { return kind_; }
   int32_t id() const { return id_; }

@@ -27,7 +27,7 @@ struct OmqServer::Connection {
   std::atomic<bool> broken{false};
 };
 
-/// One admitted eval/contain/classify request between its session thread
+/// One admitted eval/contain request between its session thread
 /// and its pool worker.
 struct OmqServer::PendingRequest {
   WireRequest request;
@@ -303,6 +303,19 @@ void OmqServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     return;
   }
 
+  // A classify answer is the compiled program's stored body: a string
+  // copy, no engine work and no governed resource. It is answered here,
+  // like ping/stats, rather than paying a hand-off to a pool worker (a
+  // thread wake whose cost grows with how busy the pool's CPUs are) and a
+  // tenant slot.
+  if (request.type == RequestType::kClassify) {
+    WireResponse response;
+    response.request_id = request.request_id;
+    response.body = (*program)->classification;
+    SendResponse(conn, std::move(response));
+    return;
+  }
+
   auto pending = std::make_shared<PendingRequest>();
   pending->program = std::move(*program);
   pending->conn = conn;
@@ -417,10 +430,6 @@ void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending) {
         stats = result->stats;
       }
       response.stats_json = EngineStatsToJson(stats);
-      break;
-    }
-    case RequestType::kClassify: {
-      response.body = program.classification;
       break;
     }
     default:

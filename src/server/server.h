@@ -7,7 +7,8 @@
 //
 // Each connection gets a session thread that reads frames, answers
 // ping/stats/shutdown inline, resolves the eval/contain/classify program,
-// and admits the request to its tenant (tenant.h). An admitted request
+// answers classify from the compiled program's stored body, and admits an
+// eval or contain to its tenant (tenant.h). An admitted request
 // goes straight to the shared ThreadPool; one over its tenant's
 // concurrency quota parks until a completion of that tenant releases it.
 //
@@ -188,7 +189,7 @@ class OmqServer {
   void AcceptLoop();
   void SessionLoop(std::shared_ptr<Connection> conn);
   /// Handles one decoded request on the session thread; admits
-  /// eval/contain/classify, answers everything else inline.
+  /// eval/contain, answers everything else inline.
   void HandleRequest(const std::shared_ptr<Connection>& conn,
                      WireRequest&& request);
   /// Queues an admitted request on the pool. Returns false (queueing

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "core/containment.h"
+#include "logic/homomorphism.h"
 #include "tgd/parser.h"
 
 namespace omqc {
@@ -284,6 +289,63 @@ TEST(ContainmentTest, StatsReportPerLayerWork) {
   EXPECT_GT(result->stats.hom.searches, 0u);
   EXPECT_GT(result->stats.rewrite.queries_generated, 0u);
   EXPECT_FALSE(result->stats.ToString().empty());
+}
+
+// ---------- Frozen-constant pool under the parallel engine. ----------
+
+TEST(ContainmentTest, ThreadedEngineAgreesWithSerialOnFrozenCandidates) {
+  // Every LHS rewriting disjunct is frozen into the same pool prefix; the
+  // workers check those databases concurrently, each RHS under a guarded
+  // Σ2 whose evaluation freezes again inside the worker (XRewrite's
+  // minimization and subsumption pruning).
+  Schema schema = S({{"Edge", 2}, {"Conn", 2}});
+  const std::string chain =
+      "Q(X0) :- Conn(X0,X1), Conn(X1,X2), Conn(X2,X3), Conn(X3,X4)";
+  Omq lhs = MakeOmq(schema, "Edge(X,Y) -> Conn(X,Y).", chain);
+  Omq same = MakeOmq(schema, "Edge(X,Y) -> Conn(X,Y).", chain);
+  Omq guarded = MakeOmq(
+      schema, "Edge(X,Y) -> Conn(X,Y). Conn(X,Y), Edge(Y,X) -> Loop(X,Z).",
+      "Q(X0) :- Conn(X0,X1), Conn(X1,X2), Loop(X2,W)");
+  for (const Omq* rhs : {&same, &guarded}) {
+    ContainmentOptions serial;
+    auto expected = CheckContainment(lhs, *rhs, serial);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EXPECT_NE(expected->outcome, ContainmentOutcome::kUnknown);
+    ContainmentOptions parallel;
+    parallel.num_threads = 4;
+    for (int round = 0; round < 3; ++round) {
+      auto result = CheckContainment(lhs, *rhs, parallel);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->outcome, expected->outcome);
+      EXPECT_EQ(result->witness.has_value(), expected->witness.has_value());
+    }
+  }
+}
+
+TEST(ContainmentTest, FrozenPoolMembersAgreeAcrossThreads) {
+  // Each thread grows its own view of the pool, in a different order, while
+  // the others freeze; member i must be the same Term everywhere.
+  constexpr size_t kMembers = 64;
+  std::vector<std::vector<Term>> seen(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([t, &seen]() {
+      std::vector<Term>& out = seen[t];
+      out.resize(kMembers);
+      for (size_t k = 0; k < kMembers; ++k) {
+        size_t i = t % 2 == 0 ? k : kMembers - 1 - k;
+        out[i] = FrozenConstant(i);
+        ConjunctiveQuery q1 = ParseQuery("Q(X) :- R(X,Y), R(Y,Z)").value();
+        ConjunctiveQuery q2 = ParseQuery("Q(X) :- R(X,Y)").value();
+        EXPECT_TRUE(CQContainedIn(q1, q2));
+        EXPECT_FALSE(CQContainedIn(q2, q1));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 1; t < seen.size(); ++t) EXPECT_EQ(seen[t], seen[0]);
+  std::set<Term> distinct(seen[0].begin(), seen[0].end());
+  EXPECT_EQ(distinct.size(), kMembers);
 }
 
 TEST(ContainmentTest, OutcomeToString) {

@@ -1,11 +1,16 @@
-// Unit tests for src/logic: terms, atoms, instances, substitutions, CQs.
+// Unit tests for src/logic: terms, atoms, instances, substitutions, CQs,
+// and the frozen-constant pool behind every CQ containment test.
 
 #include <gtest/gtest.h>
 
+#include "base/string_util.h"
+#include "core/containment.h"
 #include "logic/cq.h"
+#include "logic/homomorphism.h"
 #include "logic/instance.h"
 #include "logic/substitution.h"
 #include "logic/term.h"
+#include "rewrite/xrewrite.h"
 #include "tgd/parser.h"
 
 namespace omqc {
@@ -174,6 +179,105 @@ TEST(CQTest, FreezeKeepsConstants) {
   const Atom& atom = frozen.database.atoms().front();
   EXPECT_EQ(atom.args[1], Term::Constant("a"));
   EXPECT_NE(atom.args[0], Term::Constant("a"));
+}
+
+TEST(CQTest, FreezeBindsPositionsToThePool) {
+  // Different queries, same variable count: position i of Variables()
+  // gets the same frozen constant in both.
+  ConjunctiveQuery q1 = ParseQuery("Q(X) :- R(X,Y), P(Z)").value();
+  ConjunctiveQuery q2 = ParseQuery("Q(B) :- S(A,B,C), T(C,a)").value();
+  FrozenQuery f1 = Freeze(q1);
+  FrozenQuery f2 = Freeze(q2);
+  std::vector<Term> v1 = q1.Variables(), v2 = q2.Variables();
+  ASSERT_EQ(v1.size(), 3u);
+  ASSERT_EQ(v2.size(), 3u);
+  for (size_t i = 0; i < v1.size(); ++i) {
+    EXPECT_EQ(f1.freezing.Apply(v1[i]), FrozenConstant(i));
+    EXPECT_EQ(f2.freezing.Apply(v2[i]), FrozenConstant(i));
+  }
+  EXPECT_EQ(f1.answer_tuple, std::vector<Term>{FrozenConstant(0)});
+  EXPECT_EQ(f2.answer_tuple, std::vector<Term>{FrozenConstant(0)});
+  // Distinct within one frozen database.
+  std::set<Term> images;
+  for (const Term& v : v1) images.insert(f1.freezing.Apply(v));
+  EXPECT_EQ(images.size(), v1.size());
+}
+
+TEST(CQTest, RepeatedContainmentTestsMintNoConstants) {
+  ConjunctiveQuery chain =
+      ParseQuery("Q(X0) :- R(X0,X1), R(X1,X2), R(X2,X3), R(X3,X4)").value();
+  ConjunctiveQuery redundant =
+      ParseQuery("Q(X) :- R(X,Y), R(X,Z), R(Z,W), R(X,V)").value();
+  ConjunctiveQuery shorter = ParseQuery("Q(X0) :- R(X0,X1)").value();
+  // Warm-up: grows this thread's pool to the widest query below.
+  CQContainedIn(chain, shorter);
+  MinimizeCQ(redundant);
+  const size_t before = Term::InternedConstantCount();
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(CQContainedIn(chain, shorter));
+    ASSERT_FALSE(CQContainedIn(shorter, chain));
+  }
+  for (int i = 0; i < 2500; ++i) {
+    ASSERT_EQ(MinimizeCQ(redundant).size(), 2u);
+  }
+  EXPECT_EQ(Term::InternedConstantCount(), before);
+}
+
+TEST(CQTest, NoParsedConstantSpellsAFrozenConstant) {
+  // Every pool member a freeze of up to 48 variables hands out.
+  std::set<Term> handed_out;
+  std::string body;
+  for (int n = 1; n <= 48; ++n) {
+    body += StrCat(n == 1 ? "" : ", ", "R(V", n, ",W", n, ")");
+    FrozenQuery frozen = Freeze(ParseQuery("Q() :- " + body).value());
+    for (const auto& [var, constant] : frozen.freezing.bindings()) {
+      handed_out.insert(constant);
+    }
+  }
+  ASSERT_EQ(handed_out.size(), 96u);
+  for (const Term& frozen : handed_out) {
+    const std::string name = frozen.ToString();
+    ASSERT_EQ(name.rfind('@', 0), 0u) << name;  // PrettifiedCopy renames it
+    for (const std::string& text :
+         {StrCat("R(", name, ")."), StrCat("R('", name, "')."),
+          StrCat("R(a). Q(X) :- R(X), S(", name, ")."),
+          StrCat("R(a). Q(X) :- R(X), S('", name, "').")}) {
+      Result<Program> program = ParseProgram(text);
+      if (!program.ok()) continue;
+      for (const Atom& fact : program->facts.atoms()) {
+        for (const Term& t : fact.args) EXPECT_NE(t, frozen) << text;
+      }
+      for (const NamedQuery& named : program->queries) {
+        EXPECT_EQ(named.query.Constants().count(frozen), 0u) << text;
+      }
+    }
+  }
+}
+
+TEST(CQTest, LookalikeConstantsKeepTheCertifiedVerdict) {
+  // q2's constants mimic the frozen constant of Y, in the current
+  // ("@f'1", unparseable, so "@f1") and the earlier ("@f<k>_Y") naming.
+  // A collision would make R(X,Y) ⊆ R(X,c) hold on the frozen database.
+  Schema schema;
+  schema.Add(Predicate::Get("R", 2));
+  for (const char* lookalike : {"@f1", "@f0_Y", "@f1_Y", "'@f1'"}) {
+    ConjunctiveQuery open = ParseQuery("Q(X) :- R(X,Y)").value();
+    ConjunctiveQuery pinned =
+        ParseQuery(StrCat("Q(X) :- R(X,", lookalike, ")")).value();
+    EXPECT_FALSE(CQContainedIn(open, pinned)) << lookalike;
+    EXPECT_TRUE(CQContainedIn(pinned, open)) << lookalike;
+    EXPECT_FALSE(UCQContainedIn(UnionOfCQs({open}), UnionOfCQs({pinned})))
+        << lookalike;
+    Omq q1{schema, TgdSet{}, open};
+    Omq q2{schema, TgdSet{}, pinned};
+    Result<ContainmentResult> result = CheckContainment(q1, q2);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->outcome, ContainmentOutcome::kNotContained)
+        << lookalike;
+    result = CheckContainment(q2, q1);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->outcome, ContainmentOutcome::kContained) << lookalike;
+  }
 }
 
 TEST(CQTest, ValidateRejectsUnboundAnswerVariable) {

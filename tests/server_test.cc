@@ -273,6 +273,27 @@ TEST(ServerTest, ConcurrentMixedLoadAgreesAtEveryPoolSize) {
   }
 }
 
+TEST(ServerTest, ClassifyIsAnsweredOnTheSessionThread) {
+  // A classify is the compiled program's stored body: it never reaches
+  // the pool or a tenant slot, while an eval on the same session does.
+  ExpectedBodies expected = ComputeExpected();
+  OmqServer server((ServerConfig()));
+  OmqClient client = MakeClient(server);
+  for (int i = 0; i < 3; ++i) {
+    auto classify = client.Classify(kUniversityProgram, "t0");
+    ASSERT_TRUE(classify.ok());
+    EXPECT_EQ(classify->code, StatusCode::kOk) << classify->message;
+    EXPECT_EQ(classify->body, expected.classify);
+  }
+  EXPECT_EQ(server.admission_stats().submitted, 0u);
+  EXPECT_EQ(server.TenantSnapshots().count("t0"), 0u);
+  auto eval = client.Eval(kUniversityProgram, "FacultyQ", "t0");
+  ASSERT_TRUE(eval.ok());
+  EXPECT_EQ(eval->body, expected.eval);
+  EXPECT_EQ(server.admission_stats().submitted, 1u);
+  server.Shutdown();
+}
+
 // ---------- Session robustness ----------
 
 TEST(ServerTest, MalformedProgramDoesNotKillTheSession) {
